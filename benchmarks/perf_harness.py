@@ -18,11 +18,10 @@ writes one machine-readable JSON file so future changes can see regressions:
    per-phase timings are embedded in the report and whose JSONL trace is
    written to ``benchmarks/results/BENCH_trace.jsonl`` for
    ``repro obs summarize``.
-5. **cache_policies** — a repeated chunked-sweep workload run under every
-   eviction policy (small ``max_entries`` forcing eviction): wall time,
-   hit/miss/eviction counters, and a bit-identity check across policies;
-   plus the access-trace capture overhead (warm all-hit passes with
-   capture off vs on — the off path must stay near-free).
+5. **cache_eviction** — a repeated chunked-sweep workload through the LRU
+   memory tier with a small ``max_entries`` forcing eviction: wall time,
+   hit/miss/eviction counters, and a bit-identity check against the
+   uncached sweep.
 
 Run::
 
@@ -30,7 +29,7 @@ Run::
 
 Exit codes: 0 ok; 2 batched-vs-scalar or traced-vs-untraced divergence;
 3 cache layers failed to produce second-rate hits or changed results;
-4 eviction policies disagreed on sweep results.
+4 forced eviction changed sweep results.
 """
 
 from __future__ import annotations
@@ -50,14 +49,7 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import obs
-from repro.cache import (
-    ResultCache,
-    available_policies,
-    cache_snapshot,
-    configure_capture,
-    get_recorder,
-    shutdown_capture,
-)
+from repro.cache import ResultCache, cache_snapshot
 from repro.core import model_builders, run_sampled_dse
 from repro.ml.preprocess import raw_matrix_cache
 from repro.obs.summarize import phase_rows, read_trace, summarize_trace
@@ -212,16 +204,13 @@ def bench_observability(configs, profile, reduced: bool, trace_out: Path) -> dic
     }
 
 
-def bench_cache_policies(configs, profile, reduced: bool,
-                         trace_out: Path) -> dict:
-    """Repeated chunked sweeps under every policy, plus capture overhead.
+def bench_cache_eviction(configs, profile, reduced: bool) -> dict:
+    """Repeated chunked sweeps through an LRU tier too small to hold them.
 
     The design space is swept in chunks (one cache entry each): every pass
     scans all chunks in order while re-sweeping a 3-chunk hot set between
-    the cold ones, with ``max_entries`` far below the chunk count. That is
-    the regime where policies differ — the scan thrashes a recency-only
-    tier while the hot set rewards frequency/ghost tracking. Results must
-    be bit-identical whichever policy manages the tier.
+    the cold ones, with ``max_entries`` far below the chunk count, so the
+    tier evicts throughout. Results must equal the uncached sweep.
     """
     n_chunks = 12 if reduced else 24
     passes = 2 if reduced else 3
@@ -231,7 +220,7 @@ def bench_cache_policies(configs, profile, reduced: bool,
               for i in range(0, len(configs), chunk_size)]
     hot = chunks[:3]
 
-    def workload(store: ResultCache) -> float:
+    def workload(store: ResultCache | None) -> float:
         total = 0.0
         for _ in range(passes):
             for i, chunk in enumerate(chunks):
@@ -242,46 +231,19 @@ def bench_cache_policies(configs, profile, reduced: bool,
                                        cache=store).sum())
         return total
 
-    per_policy = {}
-    checksums = set()
-    for policy in available_policies():
-        store = ResultCache(max_entries=max_entries, policy=policy)
-        seconds, checksum = _timed(lambda: workload(store))
-        stats = store.stats()
-        checksums.add(checksum)
-        per_policy[policy] = {
-            "seconds": seconds,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "hit_rate": stats.hit_rate,
-            "counters": store.memory.counters(),
-        }
-
-    # Capture overhead on an all-hit workload: one pass warms a tier big
-    # enough to hold every chunk, then timed passes are pure memory hits —
-    # the path the recorder hook sits on.
-    warm = ResultCache(max_entries=len(chunks) + 1)
-    workload(warm)
-    off_s, _ = _timed(lambda: workload(warm), repeats=3)
-    trace_out.parent.mkdir(parents=True, exist_ok=True)
-    trace_out.unlink(missing_ok=True)
-    configure_capture(trace_out)
-    try:
-        on_s, _ = _timed(lambda: workload(warm), repeats=3)
-        n_recorded = get_recorder().n_recorded
-    finally:
-        shutdown_capture()
+    store = ResultCache(max_entries=max_entries)
+    seconds, checksum = _timed(lambda: workload(store))
+    stats = store.stats()
     return {
         "n_chunks": len(chunks),
         "passes": passes,
         "max_entries": max_entries,
-        "per_policy": per_policy,
-        "bit_identical": len(checksums) == 1,
-        "capture_off_seconds": off_s,
-        "capture_on_seconds": on_s,
-        "capture_overhead_pct": (on_s / off_s - 1.0) * 100.0,
-        "capture_records": n_recorded,
-        "capture_file": str(trace_out),
+        "seconds": seconds,
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "hit_rate": stats.hit_rate,
+        "evictions": stats.memory_evictions,
+        "bit_identical": checksum == workload(None),
     }
 
 
@@ -349,19 +311,12 @@ def main(argv=None) -> int:
         print(f"      phase {row['phase']:<12} count={row['count']:<4} "
               f"total={row['total_s']:.4f}s")
 
-    print("[6/6] eviction policies under a repeated chunked sweep...")
-    cache_trace_out = Path(args.out).parent / "BENCH_cachetrace.jsonl"
-    report["layers"]["cache_policies"] = cp = bench_cache_policies(
-        configs, profile, args.reduced, cache_trace_out)
-    for policy, row in sorted(cp["per_policy"].items()):
-        print(f"      {policy:<4} {row['seconds']:.3f}s  hits {row['hits']:<5} "
-              f"misses {row['misses']:<5} hit-rate {row['hit_rate']:.3f}  "
-              f"evictions {row['counters']['evictions']}")
-    print(f"      capture off {cp['capture_off_seconds']:.4f}s  on "
-          f"{cp['capture_on_seconds']:.4f}s  overhead "
-          f"{cp['capture_overhead_pct']:+.2f}%  "
-          f"({cp['capture_records']} records)  bit-identical "
-          f"{cp['bit_identical']}")
+    print("[6/6] forced LRU eviction under a repeated chunked sweep...")
+    report["layers"]["cache_eviction"] = ce = bench_cache_eviction(
+        configs, profile, args.reduced)
+    print(f"      {ce['seconds']:.3f}s  hits {ce['hits']}  misses "
+          f"{ce['misses']}  hit-rate {ce['hit_rate']:.3f}  evictions "
+          f"{ce['evictions']}  bit-identical {ce['bit_identical']}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -379,9 +334,8 @@ def main(argv=None) -> int:
         print("FATAL: cache layers changed results or produced no reuse",
               file=sys.stderr)
         return 3
-    if not cp["bit_identical"]:
-        print("FATAL: eviction policies disagreed on sweep results",
-              file=sys.stderr)
+    if not ce["bit_identical"]:
+        print("FATAL: forced eviction changed sweep results", file=sys.stderr)
         return 4
     return 0
 

@@ -51,7 +51,6 @@ from repro.obs.aggregate import (
     merge_timeline,
     read_shard_metrics,
     read_shard_traces,
-    snapshot_quantile,
     write_timeline,
 )
 from repro.obs.metrics import (
@@ -62,6 +61,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
     reset_default_registry,
+    snapshot_quantile,
 )
 from repro.obs.profiling import (
     Profiler,

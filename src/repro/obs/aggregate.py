@@ -29,7 +29,6 @@ stays importable by every subsystem without cycles.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -48,7 +47,6 @@ __all__ = [
     "read_shard_metrics",
     "read_shard_traces",
     "read_spool_events",
-    "snapshot_quantile",
     "spool_timeline_records",
     "write_timeline",
 ]
@@ -324,25 +322,3 @@ def aggregate_metrics(snapshots: Iterable[dict]) -> dict[str, Any]:
         "per_shard": per_shard,
         "conflicts": sorted(set(conflicts)),
     }
-
-
-def snapshot_quantile(snap: dict, q: float) -> float:
-    """Bucket-upper-bound quantile over an exported histogram snapshot.
-
-    The merged histograms in an aggregate document are plain dicts, not
-    live :class:`~repro.obs.metrics.Histogram` objects; this mirrors
-    :meth:`Histogram.quantile` over that representation.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = int(snap.get("count") or 0)
-    if count == 0:
-        return 0.0
-    rank = q * count
-    running = 0
-    for bound, c in zip(snap["buckets"], snap["counts"]):
-        running += c
-        if running >= rank:
-            return float(bound)
-    mx = snap.get("max")
-    return float(mx) if mx is not None else float(snap["buckets"][-1])

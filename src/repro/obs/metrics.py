@@ -35,6 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "default_registry",
     "reset_default_registry",
+    "snapshot_quantile",
 ]
 
 #: Default histogram boundaries (seconds): spans range from sub-millisecond
@@ -169,22 +170,8 @@ class Histogram:
         return out
 
     def quantile(self, q: float) -> float:
-        """Upper bound of the bucket containing the ``q``-quantile observation.
-
-        Returns the recorded maximum for quantiles landing in the overflow
-        bucket, and 0.0 for an empty histogram.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._count == 0:
-            return 0.0
-        rank = q * self._count
-        running = 0
-        for bound, c in zip(self.buckets, self._counts):
-            running += c
-            if running >= rank:
-                return bound
-        return self._max
+        """The ``q``-quantile estimate; see :func:`snapshot_quantile`."""
+        return snapshot_quantile(self.snapshot(), q)
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -198,6 +185,37 @@ class Histogram:
             "min": self._min if self._count else None,
             "max": self._max if self._count else None,
         }
+
+
+def snapshot_quantile(snap: Mapping[str, Any], q: float) -> float:
+    """``q``-quantile of a histogram snapshot, clamped to the observed range.
+
+    Returns the upper bound of the bucket holding the ``q``-quantile
+    observation (the recorded maximum for the overflow bucket), clamped to
+    the snapshot's ``[min, max]`` so a reported quantile never exceeds the
+    largest value observed; 0.0 for an empty histogram. Serves live
+    :class:`Histogram` objects and the merged histogram dicts of an
+    aggregate document alike.
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    count = int(snap.get("count") or 0)
+    if count == 0:
+        return 0.0
+    lo, hi = snap.get("min"), snap.get("max")
+    value = float(hi) if hi is not None else float(snap["buckets"][-1])
+    rank = q * count
+    running = 0
+    for bound, c in zip(snap["buckets"], snap["counts"]):
+        running += c
+        if running >= rank:
+            value = float(bound)
+            break
+    if hi is not None:
+        value = min(value, float(hi))
+    if lo is not None:
+        value = max(value, float(lo))
+    return value
 
 
 class MetricsRegistry:

@@ -10,8 +10,8 @@ When enabled, every instrumented hot path (``sweep``, ``encode``, ``train``,
 ``predict``, ``holdout``) runs under one shared :class:`cProfile.Profile`
 and also accrues a per-section wall-clock total, so the report answers both
 "which phase is slow" (sections) and "which *function* is slow" (pstats).
-``cProfile`` cannot nest, so a depth counter keeps inner sections from
-re-enabling the profiler the outer section already owns.
+``cProfile`` cannot nest, so a depth counter enables the profiler when the
+outermost section enters and disables it only when that section exits.
 """
 
 from __future__ import annotations
@@ -49,22 +49,20 @@ _NULL_SECTION = _NullSection()
 class _Section:
     """One live profiled section; updates the owner's totals on exit."""
 
-    __slots__ = ("_profiler", "_name", "_t0", "_owns_profile")
+    __slots__ = ("_profiler", "_name", "_t0")
 
     def __init__(self, profiler: "Profiler", name: str) -> None:
         self._profiler = profiler
         self._name = name
         self._t0 = 0.0
-        self._owns_profile = False
 
     def __enter__(self) -> "_Section":
         self._t0 = time.monotonic()
-        self._owns_profile = self._profiler._enter_profile()
+        self._profiler._enter_profile()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        if self._owns_profile:
-            self._profiler._exit_profile()
+        self._profiler._exit_profile()
         self._profiler._record(self._name, time.monotonic() - self._t0)
         return False
 
@@ -81,19 +79,19 @@ class Profiler:
     def section(self, name: str) -> _Section:
         return _Section(self, name)
 
-    def _enter_profile(self) -> bool:
-        """Enable cProfile if no outer section already owns it."""
+    def _enter_profile(self) -> None:
+        """Enable cProfile when the outermost section enters."""
         with self._lock:
             self._depth += 1
             if self._depth == 1:
                 self._profile.enable()
-                return True
-            return False
 
     def _exit_profile(self) -> None:
+        """Disable cProfile when the outermost section exits."""
         with self._lock:
-            self._profile.disable()
             self._depth -= 1
+            if self._depth == 0:
+                self._profile.disable()
 
     def _record(self, name: str, seconds: float) -> None:
         with self._lock:

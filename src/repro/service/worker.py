@@ -47,7 +47,7 @@ only multiply processes without adding throughput.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -69,7 +69,7 @@ from repro.parallel.resilient import (
     RetryPolicy,
 )
 from repro.robust.breaker import CircuitBreaker
-from repro.service.jobs import JobSpec, JobView
+from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
 from repro.util.rng import stream_seed
 
@@ -106,9 +106,6 @@ class WorkerConfig:
     #: Trips the shared disk cache tier after this many consecutive I/O errors.
     disk_breaker_threshold: int = 3
     disk_breaker_reset: float = 5.0
-    #: Memory-tier eviction policy for the shard's result cache
-    #: (lru/lfu/2q/arc); None falls back to REPRO_CACHE_POLICY, then lru.
-    cache_policy: str | None = None
     #: Observability plane: when True the shard writes a ``repro-trace/1``
     #: file (``<root>/obs/trace.<name>.jsonl``) with one trace id per job.
     #: Off by default — execution stays bit-identical and span-free.
@@ -203,27 +200,15 @@ class Worker:
 
         Namespaced per spool schema so service entries never collide with a
         user's own ``REPRO_CACHE_DIR``; breaker-guarded so a sick disk
-        degrades the tier to memory-only instead of stalling every job. The
-        shard inherits the service's configured eviction policy (config
-        field, else ``REPRO_CACHE_POLICY``), and when ``REPRO_CACHE_TRACE``
-        names a path it records its cache probes to
-        ``<path>.<shard-name>`` — one capture file per shard, no
-        interleaved writers — flushed at shard exit for offline replay.
+        degrades the tier to memory-only instead of stalling every job.
         """
-        import os
-
-        from repro.cache.capture import configure_capture
         from repro.cache.result_cache import configure
         from repro.service.spool import SPOOL_SCHEMA
 
         configure(max_entries=128,
                   disk_root=Path(self.config.root) / "cache",
                   namespace=SPOOL_SCHEMA,
-                  disk_breaker=self.disk_breaker,
-                  policy=self.config.cache_policy)
-        trace_root = os.environ.get("REPRO_CACHE_TRACE")
-        if trace_root:
-            configure_capture(f"{trace_root}.{self.config.name}")
+                  disk_breaker=self.disk_breaker)
 
     def heartbeat(self, job: str | None = None) -> None:
         """Beat liveness *and* keep shard telemetry current.
@@ -478,17 +463,11 @@ class Worker:
 
         Called from the heartbeat path throughout the shard's life (capped
         by ``metrics_flush_s``) and once more at exit with ``final=True``,
-        which also covers the last partial flush interval and flushes the
-        cache access capture — a step too expensive (and one-shot) for the
-        periodic path.
+        which also covers the last partial flush interval.
         """
         import json
         import os
 
-        if final:
-            from repro.cache.capture import shutdown_capture
-
-            shutdown_capture()  # flush any per-shard access trace
         doc = {
             "schema": "repro-shardmetrics/1",
             "shard": self.config.name,

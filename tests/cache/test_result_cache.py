@@ -2,12 +2,93 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.cache import DiskStore, LRUCache, ResultCache
 from repro.cache import result_cache as rc_mod
 from repro.simulator import get_profile, sweep_design_space
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    def seeds(n_examples: int = 30, max_seed: int = 10**6):
+        """Feed the test a shrinkable integer seed via hypothesis."""
+
+        def deco(fn):
+            return settings(max_examples=n_examples, deadline=None)(
+                given(st.integers(0, max_seed))(fn)
+            )
+
+        return deco
+
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+
+    def seeds(n_examples: int = 30, max_seed: int = 10**6):
+        """Fallback: a fixed, seeded sweep of random example seeds."""
+        picker = random.Random(20260808)
+        chosen = [picker.randrange(max_seed + 1) for _ in range(n_examples)]
+
+        def deco(fn):
+            return pytest.mark.parametrize("seed", chosen)(fn)
+
+        return deco
+
+
+def _run_lru_workload(seed: int, n_ops: int = 400) -> None:
+    """Mixed get/put/evict/clear stream, checking the contract every step.
+
+    Residency never exceeds ``max_entries``; a key just ``put`` is gettable
+    with its exact value; an evicted key is really gone; hits + misses
+    equals the ``get`` calls, and evictions equals insertions minus
+    residents (clears accounted separately).
+    """
+    rng = random.Random(seed)
+    capacity = rng.randint(1, 12)
+    lru = LRUCache(capacity)
+    keys = [f"k{i}" for i in range(rng.randint(1, 30))]
+
+    contents: dict[str, int] = {}   # mirror of what must be resident
+    n_gets = n_insertions = n_cleared = 0
+    for step in range(n_ops):
+        op = rng.random()
+        key = rng.choice(keys)
+        if op < 0.45:
+            n_gets += 1
+            got = lru.get(key)
+            if key in contents:
+                assert got == contents[key]
+        elif op < 0.85:
+            if key not in lru:
+                n_insertions += 1
+            lru.put(key, step)
+            contents[key] = step
+            assert key in lru
+            n_gets += 1
+            assert lru.get(key) == step
+        elif op < 0.95:
+            victim = lru.evict()
+            if victim is not None:
+                assert victim not in lru
+                contents.pop(victim, None)
+        else:
+            n_cleared += lru.clear()
+            contents.clear()
+            assert len(lru) == 0
+
+        assert len(lru) <= capacity
+        for k in [k for k in contents if k not in lru]:
+            del contents[k]     # the cache chose these victims; mirror it
+        assert len(contents) == len(lru)
+
+    assert lru.hits + lru.misses == n_gets
+    assert lru.evictions == n_insertions - len(lru) - n_cleared
+    n = len(lru)
+    for k, v in contents.items():
+        assert lru.get(k) == v
+    assert len(lru) == n        # reads never change residency
 
 
 class TestLRUCache:
@@ -16,7 +97,15 @@ class TestLRUCache:
         assert lru.get("a") is None
         lru.put("a", 1)
         assert lru.get("a") == 1
+        assert "a" in lru and len(lru) == 1
         assert (lru.hits, lru.misses, lru.evictions) == (1, 1, 0)
+
+    def test_size_never_exceeds_capacity(self):
+        lru = LRUCache(max_entries=3)
+        for i in range(20):
+            lru.put(f"k{i}", i)
+            assert len(lru) <= 3
+        assert lru.evictions == 17
 
     def test_eviction_accounting_and_order(self):
         lru = LRUCache(max_entries=2)
@@ -33,13 +122,66 @@ class TestLRUCache:
         lru = LRUCache(max_entries=2)
         lru.put("a", 1)
         lru.put("b", 2)
-        lru.put("a", 10)
+        lru.put("a", 10)      # refresh via put, not get
         assert lru.evictions == 0
-        assert lru.get("a") == 10
+        lru.put("c", 3)
+        assert "b" not in lru and lru.get("a") == 10
+
+    def test_refresh_at_capacity_never_evicts(self):
+        """Re-putting a resident key in a full cache is a value update, not
+        an insert: no eviction, no eviction-counter bump."""
+        lru = LRUCache(max_entries=3)
+        for i in range(3):
+            lru.put(f"k{i}", i)
+        for i in range(3):
+            lru.put(f"k{i}", i + 100)
+        assert len(lru) == 3 and lru.evictions == 0
+        for i in range(3):
+            assert lru.get(f"k{i}") == i + 100
+
+    def test_evicted_keys_are_really_gone(self):
+        lru = LRUCache(max_entries=2)
+        for i in range(10):
+            lru.put(f"k{i}", i)
+        assert [f"k{i}" for i in range(10) if f"k{i}" in lru] == ["k8", "k9"]
+        for i in range(8):
+            assert lru.get(f"k{i}") is None
+
+    def test_explicit_evict_and_clear(self):
+        lru = LRUCache(max_entries=4)
+        for i in range(4):
+            lru.put(f"k{i}", i)
+        assert lru.evict() == "k0"    # the coldest entry
+        assert "k0" not in lru and len(lru) == 3
+        assert lru.clear() == 3
+        assert len(lru) == 0
+        assert lru.evict() is None
+        assert lru.evictions == 1     # counters survive clear()
+
+    def test_get_default_does_not_shadow_none_values(self):
+        lru = LRUCache(max_entries=4)
+        sentinel = object()
+        assert lru.get("missing", sentinel) is sentinel
+        lru.put("present", None)
+        assert lru.get("present", sentinel) is None
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
             LRUCache(max_entries=0)
+
+    @seeds()
+    def test_invariants_under_random_workload(self, seed):
+        _run_lru_workload(seed)
+
+    @seeds(n_examples=10)
+    def test_capacity_one_degenerate_cache(self, seed):
+        rng = random.Random(seed)
+        lru = LRUCache(max_entries=1)
+        for step in range(100):
+            key = f"k{rng.randrange(5)}"
+            lru.put(key, step)
+            assert len(lru) == 1
+            assert lru.get(key) == step
 
 
 class TestDiskStore:
@@ -162,66 +304,17 @@ class TestResultCache:
         cache.get_or_compute(("k",), lambda: 1)
         assert cache.stats().hit_rate == pytest.approx(2 / 3)
 
-
-class TestPolicySelection:
-    """ResultCache policy wiring: constructor, env var, snapshots."""
-
-    def test_default_policy_is_lru(self):
-        cache = ResultCache()
-        assert cache.policy == "lru"
-        assert cache.stats().policy == "lru"
-        assert cache.memory.name == "lru"
-
-    @pytest.mark.parametrize("name", ["lru", "lfu", "2q", "arc"])
-    def test_explicit_policy_reaches_memory_tier(self, name):
-        cache = ResultCache(policy=name)
-        assert cache.policy == name
-        assert cache.memory.name == name
-        cache.get_or_compute(("k",), lambda: 1)
-        cache.get_or_compute(("k",), lambda: 1)
-        assert cache.stats().hits == 1
-        assert cache.memory.counters()["policy"] == name
-
-    def test_policy_alias_normalized(self):
-        assert ResultCache(policy="TwoQ").policy == "2q"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            ResultCache(policy="belady")
-
-    def test_env_var_selects_default_cache_policy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_POLICY", "arc")
-        rc_mod.reset_default_cache()
-        try:
-            assert rc_mod.default_cache().policy == "arc"
-        finally:
-            monkeypatch.delenv("REPRO_CACHE_POLICY")
-            rc_mod.reset_default_cache()
-
-    def test_configure_policy_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_POLICY", "lfu")
-        try:
-            rc_mod.configure(policy="2q")
-            assert rc_mod.default_cache().policy == "2q"
-        finally:
-            monkeypatch.delenv("REPRO_CACHE_POLICY")
-            rc_mod.reset_default_cache()
-
-    def test_eviction_results_identical_across_policies(self, design_space):
+    def test_forced_eviction_keeps_sweep_results(self, design_space):
         profile = get_profile("gcc")
         chunks = [design_space[i:i + 8] for i in range(0, 64, 8)]
-        sums = set()
-        for name in ("lru", "lfu", "2q", "arc"):
-            store = ResultCache(max_entries=2, policy=name)
-            total = 0.0
-            for _ in range(2):
-                for chunk in chunks:
-                    total += float(sweep_design_space(
-                        chunk, profile, cache=store).sum())
-            assert store.stats().memory_evictions > 0
-            sums.add(total)
-        assert len(sums) == 1, "policies must not change sweep results"
+        store = ResultCache(max_entries=2)
+        passes = [sum(float(sweep_design_space(chunk, profile).sum())
+                      for chunk in chunks)]
+        for _ in range(2):
+            passes.append(sum(float(sweep_design_space(
+                chunk, profile, cache=store).sum()) for chunk in chunks))
+        assert store.stats().memory_evictions > 0
+        assert len(set(passes)) == 1, "eviction must not change sweep results"
 
 
 class TestNamespaceBreakdown:
@@ -238,19 +331,19 @@ class TestNamespaceBreakdown:
         assert cache.stats_by_namespace() == {
             "(default)": {"hits": 0, "misses": 1}}
 
-    def test_snapshot_includes_policy_and_namespaces(self):
+    def test_snapshot_includes_namespaces(self):
         rc_mod.reset_default_cache()
         try:
-            rc_mod.configure(policy="lfu")
+            rc_mod.configure()
             cache = rc_mod.default_cache()
             cache.get_or_compute(("k",), lambda: 1)
             cache.get_or_compute(("k",), lambda: 1)
             snap = rc_mod.cache_snapshot()
-            assert snap["policy"] == "lfu"
+            assert set(snap) == {"enabled", "result_cache", "by_namespace",
+                                 "encoder_matrix_cache"}
             assert snap["by_namespace"] == {
                 "(default)": {"hits": 1, "misses": 1}}
-            assert snap["policy_counters"]["policy"] == "lfu"
-            assert snap["policy_counters"]["hits"] == 1
+            assert snap["result_cache"]["memory_hits"] == 1
         finally:
             rc_mod.reset_default_cache()
 

@@ -16,11 +16,10 @@ from repro.obs.aggregate import (
     read_shard_metrics,
     read_shard_traces,
     read_spool_events,
-    snapshot_quantile,
     spool_timeline_records,
     write_timeline,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, snapshot_quantile
 from repro.obs.trace import Tracer, validate_record
 
 

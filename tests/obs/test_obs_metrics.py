@@ -115,6 +115,18 @@ class TestHistogramUnit:
         # Overflow quantile reports the recorded max, not +Inf.
         assert h.quantile(1.0) == 50.0
 
+    def test_quantiles_never_exceed_observed_max(self):
+        # 0.255 s lands in the (0.1, 0.5] bucket, whose bound 0.5 exceeds
+        # every observation: p95/p99 must clamp to the recorded max.
+        h = Histogram("h")
+        for v in [0.02] * 50 + [0.255] * 10:
+            h.observe(v)
+        for q in (0.50, 0.95, 0.99):
+            assert h.quantile(q) <= 0.255
+        assert h.quantile(0.99) == 0.255
+        assert h.quantile(0.50) == 0.05
+        assert h.quantile(0.0) == 0.02    # clamped up to the recorded min
+
 
 class TestHistogramProperties:
     @seeds()

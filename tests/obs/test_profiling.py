@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pstats
+
 from repro.obs import profiling
 from repro.obs.profiling import (
     Profiler,
@@ -15,6 +17,10 @@ from repro.obs.profiling import (
 
 def _busy(n: int = 2_000) -> int:
     return sum(i * i for i in range(n))
+
+
+def _profiled_body() -> int:
+    return _busy(100)
 
 
 class TestGating:
@@ -50,6 +56,19 @@ class TestSections:
                 _busy()
         assert p.sections["sweep"]["calls"] == 1
         assert p.sections["encode"]["calls"] == 1
+
+    def test_every_top_level_section_is_profiled(self):
+        # Regression: inner sections never released their depth, so only
+        # the first top-level section ever ran under cProfile.
+        p = enable_profiling()
+        for _ in range(3):
+            with profiled("sweep"):
+                with profiled("encode"):
+                    _profiled_body()
+        assert p._depth == 0
+        calls = {func[2]: nc for func, (_, nc, *_rest)
+                 in pstats.Stats(p._profile).stats.items()}
+        assert calls["_profiled_body"] == 3
 
     def test_exception_still_records_section(self):
         p = enable_profiling()
