@@ -22,6 +22,10 @@ writes one machine-readable JSON file so future changes can see regressions:
    memory tier with a small ``max_entries`` forcing eviction: wall time,
    hit/miss/eviction counters, and a bit-identity check against the
    uncached sweep.
+7. **nn_epoch** — median and IQR of microseconds per training epoch for an
+   NN-E-shaped network (``[28, 32, 14, 1]``, 17 train and 6 validation
+   rows, Rprop, a fixed epoch count), with a bit-identity check across the
+   repeats (nonzero exit on divergence).
 
 Run::
 
@@ -29,7 +33,7 @@ Run::
 
 Exit codes: 0 ok; 2 batched-vs-scalar or traced-vs-untraced divergence;
 3 cache layers failed to produce second-rate hits or changed results;
-4 forced eviction changed sweep results.
+4 forced eviction changed sweep results; 5 repeated NN trainings differed.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
 from repro import obs
 from repro.cache import ResultCache, cache_snapshot
 from repro.core import model_builders, run_sampled_dse
+from repro.ml.nn.network import MLP
+from repro.ml.nn.training import TrainingConfig, train
 from repro.ml.preprocess import raw_matrix_cache
 from repro.obs.summarize import phase_rows, read_trace, summarize_trace
 from repro.parallel.executor import ProcessExecutor
@@ -247,6 +253,43 @@ def bench_cache_eviction(configs, profile, reduced: bool) -> dict:
     }
 
 
+def bench_nn_epoch(reduced: bool) -> dict:
+    """Time one NN training epoch (forward, backward, Rprop, validation).
+
+    The network is the shape NN-E builds for the 28-column encoded design
+    space, trained on a 1%-sample-sized split; patience equals the epoch
+    budget, so every repeat runs the same number of epochs. Each repeat
+    trains the same seeded network, so all must end bit-identical.
+    """
+    sizes = [28, 32, 14, 1]
+    epochs = 300 if reduced else 1000
+    repeats = 5 if reduced else 9
+    rng = np.random.default_rng(0)
+    X = rng.random((23, sizes[0]))
+    y = 0.2 + 0.6 * X[:, :4].mean(axis=1)
+    config = TrainingConfig(max_epochs=epochs, patience=epochs)
+    per_epoch_us, runs = [], set()
+    for _ in range(repeats):
+        net = MLP(sizes, np.random.default_rng(1))
+        start = time.perf_counter()
+        res = train(net, X[:17], y[:17], config, X[17:], y[17:])
+        per_epoch_us.append((time.perf_counter() - start) / res.epochs_run * 1e6)
+        runs.add((res.epochs_run, np.asarray(res.loss_history).tobytes(),
+                  b"".join(w.tobytes() for w in net.weights)))
+    q1, med, q3 = np.percentile(per_epoch_us, [25, 50, 75])
+    return {
+        "layer_sizes": sizes,
+        "train_rows": 17,
+        "val_rows": 6,
+        "optimizer": config.optimizer,
+        "epochs": epochs,
+        "repeats": repeats,
+        "us_per_epoch_median": float(med),
+        "us_per_epoch_iqr": float(q3 - q1),
+        "bit_identical": len(runs) == 1,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--app", default="gcc",
@@ -272,34 +315,34 @@ def main(argv=None) -> int:
         "layers": {},
     }
 
-    print(f"[1/6] batch simulation vs scalar oracle ({len(configs)} configs)...")
+    print(f"[1/7] batch simulation vs scalar oracle ({len(configs)} configs)...")
     report["layers"]["batch_simulation"] = sim = bench_batch_simulation(
         configs, profile)
     print(f"      scalar {sim['scalar_seconds']:.3f}s  batch "
           f"{sim['batch_seconds']:.3f}s  speedup {sim['speedup']:.1f}x  "
           f"bit-identical {sim['bit_identical']}")
 
-    print("[2/6] zero-copy parallel path...")
+    print("[2/7] zero-copy parallel path...")
     report["layers"]["parallel_shm"] = par = bench_parallel_shm(configs, profile)
     print(f"      serial {par['serial_batch_seconds']:.3f}s  parallel warm "
           f"{par['parallel_warm_seconds']:.3f}s  bit-identical "
           f"{par['bit_identical']}")
 
-    print("[3/6] result cache (cold/warm/disk)...")
+    print("[3/7] result cache (cold/warm/disk)...")
     with tempfile.TemporaryDirectory() as tmp:
         report["layers"]["result_cache"] = rc = bench_result_cache(
             configs, profile, Path(tmp))
     print(f"      cold {rc['cold_seconds']:.3f}s  warm {rc['warm_seconds']:.4f}s  "
           f"disk-warm {rc['disk_warm_seconds']:.4f}s")
 
-    print("[4/6] two-rate sampled-DSE sweep with cache counters...")
+    print("[4/7] two-rate sampled-DSE sweep with cache counters...")
     report["rate_sweep"] = sweep = bench_rate_sweep(configs, profile, args.reduced)
     for row in sweep["per_rate"]:
         print(f"      rate {row['rate']:.2f}: {row['seconds']:.2f}s  "
               f"matrix hits {row['design_matrix_hits']}  "
               f"misses {row['design_matrix_misses']}")
 
-    print("[5/6] observability overhead (traced vs untraced sweep)...")
+    print("[5/7] observability overhead (traced vs untraced sweep)...")
     trace_out = Path(args.out).parent / "BENCH_trace.jsonl"
     report["layers"]["observability"] = ob = bench_observability(
         configs, profile, args.reduced, trace_out)
@@ -311,12 +354,18 @@ def main(argv=None) -> int:
         print(f"      phase {row['phase']:<12} count={row['count']:<4} "
               f"total={row['total_s']:.4f}s")
 
-    print("[6/6] forced LRU eviction under a repeated chunked sweep...")
+    print("[6/7] forced LRU eviction under a repeated chunked sweep...")
     report["layers"]["cache_eviction"] = ce = bench_cache_eviction(
         configs, profile, args.reduced)
     print(f"      {ce['seconds']:.3f}s  hits {ce['hits']}  misses "
           f"{ce['misses']}  hit-rate {ce['hit_rate']:.3f}  evictions "
           f"{ce['evictions']}  bit-identical {ce['bit_identical']}")
+
+    print("[7/7] one NN training epoch (NN-E shape, Rprop)...")
+    report["layers"]["nn_epoch"] = nn = bench_nn_epoch(args.reduced)
+    print(f"      {nn['us_per_epoch_median']:.1f} us/epoch median  IQR "
+          f"{nn['us_per_epoch_iqr']:.1f}  ({nn['repeats']} x {nn['epochs']} "
+          f"epochs)  bit-identical {nn['bit_identical']}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -337,6 +386,9 @@ def main(argv=None) -> int:
     if not ce["bit_identical"]:
         print("FATAL: forced eviction changed sweep results", file=sys.stderr)
         return 4
+    if not nn["bit_identical"]:
+        print("FATAL: repeated NN trainings diverged", file=sys.stderr)
+        return 5
     return 0
 
 

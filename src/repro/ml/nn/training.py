@@ -16,17 +16,27 @@ steepest descent", paper §3.2). We implement:
   chronological neural nets over-fit exactly as the paper reports.
 
 Datasets here are small (tens to hundreds of records), so full-batch
-updates are both the faithful and the fast choice: each epoch is two GEMMs.
+updates are the faithful choice, and an epoch costs Python dispatch more
+than arithmetic. :func:`train` therefore binds one
+:class:`~repro.ml.nn.network.Workspace` per batch (train, validation) and
+flat optimizer state laid out like ``MLP.params`` once per call; an epoch
+is then one forward/loss/backward pass into preallocated buffers, one
+update over the whole parameter vector and, on a new best validation
+loss, one snapshot copy. Every floating-point operation and RNG draw
+happens in the same order as in the textbook per-layer trainer, so loss
+histories, stopping epochs and final weights are bit-identical to it
+(pinned by ``tests/ml/nn/test_training.py::TestTrajectoryPin``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import NumericalError
-from repro.ml.nn.network import MLP
+from repro.ml.nn.network import MLP, Workspace
 from repro.obs.metrics import default_registry as _metrics
 
 __all__ = ["TrainingConfig", "TrainingResult", "train", "holdout_split"]
@@ -123,6 +133,58 @@ def holdout_split(
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def _rprop(config: TrainingConfig, params: np.ndarray, grad: np.ndarray):
+    """Rprop- over the flat parameter vector: per-weight signed steps that
+    grow while the gradient sign holds, and on a sign flip shrink and skip
+    that weight's update."""
+    n = params.size
+    step = np.full(n, config.rprop_init)
+    sign, prev_sign, prod, tmp = np.empty(n), np.zeros(n), np.empty(n), np.empty(n)
+    agree, flip = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+    def update(loss: float, epoch: int) -> None:
+        nonlocal sign, prev_sign
+        np.sign(grad, sign)
+        np.multiply(sign, prev_sign, prod)
+        np.greater(prod, 0.0, agree)
+        np.less(prod, 0.0, flip)
+        np.multiply(step, config.rprop_grow, tmp)
+        np.minimum(tmp, config.rprop_max, out=tmp)  # out only by keyword here
+        np.copyto(step, tmp, where=agree)
+        np.multiply(step, config.rprop_shrink, tmp)
+        np.maximum(tmp, config.rprop_min, out=tmp)
+        np.copyto(step, tmp, where=flip)
+        np.copyto(sign, 0.0, where=flip)
+        np.multiply(sign, step, tmp)
+        np.subtract(params, tmp, params)
+        sign, prev_sign = prev_sign, sign
+
+    return update
+
+
+def _gd(config: TrainingConfig, params: np.ndarray, grad: np.ndarray):
+    """Full-batch gradient descent with classical momentum; with
+    ``adaptive_rate`` the bold driver grows the rate after an improving
+    epoch and, after a worsening one, shrinks it and damps the momentum."""
+    velocity, tmp = np.zeros(params.size), np.empty(params.size)
+    lr, prev_loss = config.learning_rate, np.inf
+
+    def update(loss: float, epoch: int) -> None:
+        nonlocal lr, prev_loss
+        if config.adaptive_rate and loss > prev_loss * (1.0 + 1e-12) and epoch > 0:
+            lr = max(lr * config.rate_shrink, config.min_rate)
+            np.multiply(velocity, 0.0, velocity)
+        elif config.adaptive_rate:
+            lr = min(lr * config.rate_grow, config.max_rate)
+        prev_loss = loss
+        np.multiply(velocity, config.momentum, velocity)
+        np.multiply(grad, lr, tmp)
+        np.subtract(velocity, tmp, velocity)
+        np.add(params, velocity, params)
+
+    return update
+
+
 def train(
     net: MLP,
     X: np.ndarray,
@@ -135,95 +197,75 @@ def train(
 
     When a validation set is given, the weights achieving the lowest
     validation loss are restored at the end (early stopping with restore).
+    Each call adds 1 to the ``ml.nn.train_calls`` counter and the epochs it
+    ran to ``ml.nn.epochs`` (default metrics registry), also when it raises.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
     has_val = X_val is not None and y_val is not None and len(np.atleast_1d(y_val)) > 0
-
-    use_rprop = config.optimizer == "rprop"
-    velocity = [np.zeros_like(w) for w in net.weights]
-    step = [np.full_like(w, config.rprop_init) for w in net.weights]
-    prev_sign = [np.zeros_like(w) for w in net.weights]
-    lr = config.learning_rate
-    prev_loss = np.inf
+    fit = Workspace(net, X, y)
+    val = Workspace(net, X_val, y_val) if has_val else None
+    params = net.params
+    optimizer = _rprop if config.optimizer == "rprop" else _gd
+    update = optimizer(config, params, fit.grad)
     best_val = np.inf
-    best_weights: list[np.ndarray] | None = None
+    best_params = np.empty_like(params)
     since_best = 0
     history: list[float] = []
     stopped_early = False
     epochs_run = 0
 
     loss_bound: float | None = None
-    for epoch in range(config.max_epochs):
-        epochs_run = epoch + 1
-        loss, grads = net.loss_and_grad(X, y)
-        history.append(loss)
-        if loss_bound is None:
-            loss_bound = max(float(loss) if np.isfinite(loss) else 1.0, 1.0) \
-                * config.divergence_factor
-        if not np.isfinite(loss) or loss > loss_bound:
-            _metrics().counter("robust.nn.divergence").inc()
-            raise NumericalError(
-                f"training diverged at epoch {epochs_run}: loss={float(loss)!r} "
-                f"(bound {loss_bound:.3g})",
-                cause="nn-divergence",
-                context={"epoch": epochs_run, "loss": float(loss),
-                         "bound": float(loss_bound), "optimizer": config.optimizer},
-            )
-
-        if use_rprop:
-            # Rprop-: per-weight signed steps; shrink and skip on sign flip.
-            for w, g, d, ps in zip(net.weights, grads, step, prev_sign):
-                s = np.sign(g)
-                agree = (s * ps) > 0
-                flip = (s * ps) < 0
-                d[agree] = np.minimum(d[agree] * config.rprop_grow, config.rprop_max)
-                d[flip] = np.maximum(d[flip] * config.rprop_shrink, config.rprop_min)
-                s[flip] = 0.0
-                w -= s * d
-                ps[:] = s
-        else:
-            if config.adaptive_rate and loss > prev_loss * (1.0 + 1e-12) and epoch > 0:
-                # Bold driver: worsening step — shrink the rate, damp momentum.
-                lr = max(lr * config.rate_shrink, config.min_rate)
-                for v in velocity:
-                    v *= 0.0
-            elif config.adaptive_rate:
-                lr = min(lr * config.rate_grow, config.max_rate)
-            prev_loss = loss
-
-            for w, g, v in zip(net.weights, grads, velocity):
-                v *= config.momentum
-                v -= lr * g
-                w += v
-
-        if has_val:
-            val_loss = net.loss(X_val, y_val)
-            if not np.isfinite(val_loss):
+    try:
+        for epoch in range(config.max_epochs):
+            epochs_run = epoch + 1
+            fit.forward()
+            loss = fit.loss()
+            history.append(loss)
+            if loss_bound is None:
+                loss_bound = max(loss if math.isfinite(loss) else 1.0, 1.0) \
+                    * config.divergence_factor
+            if not math.isfinite(loss) or loss > loss_bound:
                 _metrics().counter("robust.nn.divergence").inc()
                 raise NumericalError(
-                    f"validation loss went non-finite at epoch {epochs_run}",
+                    f"training diverged at epoch {epochs_run}: loss={loss!r} "
+                    f"(bound {loss_bound:.3g})",
                     cause="nn-divergence",
-                    context={"epoch": epochs_run, "loss": float(val_loss),
-                             "optimizer": config.optimizer},
+                    context={"epoch": epochs_run, "loss": loss,
+                             "bound": float(loss_bound), "optimizer": config.optimizer},
                 )
-            if val_loss < best_val * (1.0 - config.min_delta):
-                best_val = val_loss
-                best_weights = [w.copy() for w in net.weights]
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    stopped_early = True
-                    break
+            fit.backward()
+            update(loss, epoch)
 
-    if has_val and best_weights is not None:
-        net.weights = best_weights
+            if val is not None:
+                val.forward()
+                val_loss = val.loss()
+                if not math.isfinite(val_loss):
+                    _metrics().counter("robust.nn.divergence").inc()
+                    raise NumericalError(
+                        f"validation loss went non-finite at epoch {epochs_run}",
+                        cause="nn-divergence",
+                        context={"epoch": epochs_run, "loss": val_loss,
+                                 "optimizer": config.optimizer},
+                    )
+                if val_loss < best_val * (1.0 - config.min_delta):
+                    best_val = val_loss
+                    np.copyto(best_params, params)
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if since_best >= config.patience:
+                        stopped_early = True
+                        break
+    finally:
+        _metrics().counter("ml.nn.train_calls").inc()
+        _metrics().counter("ml.nn.epochs").inc(epochs_run)
 
-    final_train = net.loss(X, y)
+    has_best = has_val and math.isfinite(best_val)
+    if has_best:
+        np.copyto(params, best_params)
+    fit.forward()
     return TrainingResult(
-        final_train_loss=final_train,
-        best_val_loss=(float(best_val) if has_val and np.isfinite(best_val) else None),
+        final_train_loss=fit.loss(),
+        best_val_loss=best_val if has_best else None,
         epochs_run=epochs_run,
         stopped_early=stopped_early,
         loss_history=history,

@@ -76,6 +76,43 @@ class TestGradients:
         assert net.loss(X, np.ones(3)) >= 0.0
 
 
+def _reference_loss_and_grad(net, X, y):
+    """Textbook backprop with fresh temporaries: the arithmetic the
+    preallocated workspace must reproduce bit for bit."""
+    acts = [X * net.input_mask]
+    for li, w in enumerate(net.weights):
+        act = net.output_act if li == len(net.weights) - 1 else net.hidden_act
+        acts.append(act.fn(acts[-1] @ w[1:] + w[0]))
+    diff = acts[-1] - y.reshape(-1, 1)
+    loss = float(np.mean(diff * diff))
+    grads = [None] * len(net.weights)
+    delta = (2.0 / diff.size) * diff * net.output_act.deriv_from_output(acts[-1])
+    for li in range(len(net.weights) - 1, -1, -1):
+        grads[li] = np.vstack([delta.sum(axis=0), acts[li].T @ delta])
+        if li > 0:
+            delta = (delta @ net.weights[li][1:].T) * net.hidden_act.deriv_from_output(acts[li])
+    return loss, grads
+
+
+class TestWorkspaceMatchesReference:
+    @pytest.mark.parametrize("sizes", [(4, 6, 1), (4, 7, 3, 1)])
+    @pytest.mark.parametrize("hidden,out", [("tanh", "linear"), ("sigmoid", "sigmoid"),
+                                            ("linear", "linear")])
+    @pytest.mark.parametrize("rows", [1, 6, 23])
+    def test_bit_identical_to_textbook_backprop(self, sizes, hidden, out, rows):
+        net = _net(sizes, seed=rows, hidden=hidden, output=out)
+        rng = np.random.default_rng(rows)
+        X = rng.normal(size=(rows, sizes[0]))
+        y = rng.random(rows)
+        if rows > 1:
+            net.mask_input(1)
+        loss, grads = net.loss_and_grad(X, y)
+        ref_loss, ref_grads = _reference_loss_and_grad(net, X, y)
+        assert loss == ref_loss
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
+
+
 class TestStructuralEdits:
     def test_drop_hidden_unit_shrinks_layer(self):
         net = _net((3, 5, 1))
@@ -124,6 +161,27 @@ class TestStructuralEdits:
         net = _net()
         net.mask_input(0)
         assert net.active_inputs.tolist() == [1, 2]
+
+    def test_weights_are_views_of_one_vector(self):
+        net = _net((3, 5, 2, 1))
+        assert net.params.size == net.n_params == sum(w.size for w in net.weights)
+        assert all(np.shares_memory(w, net.params) for w in net.weights)
+        net.params[:] = 0.0
+        assert not any(w.any() for w in net.weights)
+        net.drop_hidden_unit(0, 1)
+        assert net.params.size == sum(w.size for w in net.weights)
+        assert all(np.shares_memory(w, net.params) for w in net.weights)
+
+    def test_deepcopy_keeps_views_over_its_own_vector(self):
+        import copy
+
+        net = _net((3, 5, 1))
+        X = np.random.default_rng(5).normal(size=(4, 3))
+        dup = copy.deepcopy(net)
+        np.testing.assert_array_equal(dup.predict(X), net.predict(X))
+        dup.params[:] = 0.0  # visible through dup's views, not through net's
+        assert not dup.predict(X).any()
+        assert net.predict(X).any()
 
     def test_clone_is_independent(self):
         net = _net()

@@ -8,6 +8,7 @@ from repro.errors import NumericalError
 from repro.ml.linear.lsq import COND_ILL_THRESHOLD, OlsFit, fit_ols
 from repro.ml.nn.network import MLP
 from repro.ml.nn.training import TrainingConfig, train
+from repro.obs.metrics import default_registry
 
 
 class TestOlsConditionNumber:
@@ -130,7 +131,32 @@ class TestNnDivergenceDetection:
         with pytest.raises(NumericalError) as ei:
             train(net, X, y, config)
         assert ei.value.cause == "nn-divergence"
-        assert ei.value.context["epoch"] >= 1
+        assert ei.value.context["epoch"] == 2
+        self._assert_net_intact(net)
+
+    def test_non_finite_validation_loss_raises_divergence(self, rng):
+        net = MLP([3, 4, 1], rng)
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        X_val = rng.random((5, 3))
+        X_val[2, 1] = np.nan
+        counter = default_registry().counter("robust.nn.divergence")
+        before = counter.value
+        with pytest.raises(NumericalError) as ei:
+            train(net, X, y, TrainingConfig(max_epochs=50), X_val, rng.random(5))
+        assert ei.value.cause == "nn-divergence"
+        assert ei.value.context["epoch"] == 1
+        assert counter.value == before + 1
+        self._assert_net_intact(net)
+
+    @staticmethod
+    def _assert_net_intact(net):
+        # A raise leaves a usable network: the layer views keep their
+        # shapes and a clone owns its own parameters.
+        assert [w.shape for w in net.weights] == [(4, 4), (5, 1)]
+        dup = net.clone()
+        dup.weights[0][0, 0] = 123.0
+        assert net.weights[0][0, 0] != 123.0
 
     def test_clean_training_unaffected(self, rng):
         net = MLP([3, 4, 1], rng)
