@@ -1,17 +1,15 @@
 """Perf harness: measure each hot-path layer and emit BENCH_perf.json.
 
-Measures the three performance layers against the seed scalar baseline and
-writes one machine-readable JSON file so future changes can see regressions:
+Measures each hot-path layer in six stages and writes one machine-readable
+JSON file so future changes can see regressions:
 
 1. **batch_simulation** — the vectorized ``evaluate_design_space_batch``
-   versus the seed per-config scalar loop over the full 4608-point space,
-   with a hard bit-identity check (nonzero exit on divergence).
-2. **parallel_shm** — the chunked shared-memory executor path versus the
-   serial batch kernel (reported honestly: on the ~100 ms full-space batch
-   the pool startup usually dominates; the path exists for the heavyweight
-   workloads layered on top).
-3. **result_cache** — cold/warm/disk-warm sweep timings plus counter
-   snapshots, and a two-rate ``run_sampled_dse`` sweep recording per-rate
+   versus the scalar oracle loop (``evaluate_config`` per config) over the
+   full 4608-point space, with a hard bit-identity check (nonzero exit on
+   divergence).
+2. **result_cache** — cold/warm/disk-warm sweep timings plus counter
+   snapshots.
+3. **rate_sweep** — a two-rate ``run_sampled_dse`` sweep recording per-rate
    cache hits (the second rate must hit).
 4. **observability** — the traced sweep versus the untraced sweep (tracing
    must be bit-identical and cheap), plus a small traced pipeline whose
@@ -22,7 +20,7 @@ writes one machine-readable JSON file so future changes can see regressions:
    memory tier with a small ``max_entries`` forcing eviction: wall time,
    hit/miss/eviction counters, and a bit-identity check against the
    uncached sweep.
-7. **nn_epoch** — median and IQR of microseconds per training epoch for an
+6. **nn_epoch** — median and IQR of microseconds per training epoch for an
    NN-E-shaped network (``[28, 32, 14, 1]``, 17 train and 6 validation
    rows, Rprop, a fixed epoch count), with a bit-identity check across the
    repeats (nonzero exit on divergence).
@@ -59,10 +57,10 @@ from repro.ml.nn.network import MLP
 from repro.ml.nn.training import TrainingConfig, train
 from repro.ml.preprocess import raw_matrix_cache
 from repro.obs.summarize import phase_rows, read_trace, summarize_trace
-from repro.parallel.executor import ProcessExecutor
 from repro.simulator import (
     design_space_dataset,
     enumerate_design_space,
+    evaluate_config,
     get_profile,
     sweep_design_space,
 )
@@ -85,37 +83,15 @@ def _timed(fn, repeats: int = 1) -> tuple[float, object]:
 
 def bench_batch_simulation(configs, profile) -> dict:
     scalar_s, scalar = _timed(
-        lambda: sweep_design_space(configs, profile, method="scalar"))
+        lambda: np.array([evaluate_config(c, profile).cycles for c in configs]))
     batch_s, batch = _timed(
-        lambda: sweep_design_space(configs, profile, method="batch"), repeats=3)
+        lambda: sweep_design_space(configs, profile), repeats=3)
     return {
         "n_configs": len(configs),
         "scalar_seconds": scalar_s,
         "batch_seconds": batch_s,
         "speedup": scalar_s / batch_s,
         "bit_identical": bool(np.array_equal(scalar, batch)),
-    }
-
-
-def bench_parallel_shm(configs, profile) -> dict:
-    serial_s, serial = _timed(
-        lambda: sweep_design_space(configs, profile, method="batch"))
-    with ProcessExecutor() as ex:
-        workers = ex.max_workers
-        parallel_s, par = _timed(
-            lambda: sweep_design_space(configs, profile, method="batch",
-                                       executor=ex))
-        # second map reuses warm workers + per-process attach memo
-        rewarm_s, _ = _timed(
-            lambda: sweep_design_space(configs, profile, method="batch",
-                                       executor=ex))
-    return {
-        "workers": workers,
-        "serial_batch_seconds": serial_s,
-        "parallel_cold_seconds": parallel_s,
-        "parallel_warm_seconds": rewarm_s,
-        "speedup_vs_serial_batch": serial_s / rewarm_s,
-        "bit_identical": bool(np.array_equal(serial, par)),
     }
 
 
@@ -177,7 +153,7 @@ def bench_rate_sweep(configs, profile, reduced: bool) -> dict:
 def bench_observability(configs, profile, reduced: bool, trace_out: Path) -> dict:
     """Traced vs untraced sweep, plus a traced pipeline's phase breakdown."""
     untraced_s, untraced = _timed(
-        lambda: sweep_design_space(configs, profile, method="batch"), repeats=3)
+        lambda: sweep_design_space(configs, profile), repeats=3)
 
     trace_out.parent.mkdir(parents=True, exist_ok=True)
     trace_out.unlink(missing_ok=True)
@@ -185,8 +161,7 @@ def bench_observability(configs, profile, reduced: bool, trace_out: Path) -> dic
     obs.configure(trace_path=trace_out, registry=obs.default_registry())
     try:
         traced_s, traced = _timed(
-            lambda: sweep_design_space(configs, profile, method="batch"),
-            repeats=3)
+            lambda: sweep_design_space(configs, profile), repeats=3)
         # A small end-to-end pipeline so the trace (and the per-phase rows
         # below) covers encode/train/predict/holdout, not just the sweep.
         space = design_space_dataset(
@@ -315,34 +290,28 @@ def main(argv=None) -> int:
         "layers": {},
     }
 
-    print(f"[1/7] batch simulation vs scalar oracle ({len(configs)} configs)...")
+    print(f"[1/6] batch simulation vs scalar oracle ({len(configs)} configs)...")
     report["layers"]["batch_simulation"] = sim = bench_batch_simulation(
         configs, profile)
     print(f"      scalar {sim['scalar_seconds']:.3f}s  batch "
           f"{sim['batch_seconds']:.3f}s  speedup {sim['speedup']:.1f}x  "
           f"bit-identical {sim['bit_identical']}")
 
-    print("[2/7] zero-copy parallel path...")
-    report["layers"]["parallel_shm"] = par = bench_parallel_shm(configs, profile)
-    print(f"      serial {par['serial_batch_seconds']:.3f}s  parallel warm "
-          f"{par['parallel_warm_seconds']:.3f}s  bit-identical "
-          f"{par['bit_identical']}")
-
-    print("[3/7] result cache (cold/warm/disk)...")
+    print("[2/6] result cache (cold/warm/disk)...")
     with tempfile.TemporaryDirectory() as tmp:
         report["layers"]["result_cache"] = rc = bench_result_cache(
             configs, profile, Path(tmp))
     print(f"      cold {rc['cold_seconds']:.3f}s  warm {rc['warm_seconds']:.4f}s  "
           f"disk-warm {rc['disk_warm_seconds']:.4f}s")
 
-    print("[4/7] two-rate sampled-DSE sweep with cache counters...")
+    print("[3/6] two-rate sampled-DSE sweep with cache counters...")
     report["rate_sweep"] = sweep = bench_rate_sweep(configs, profile, args.reduced)
     for row in sweep["per_rate"]:
         print(f"      rate {row['rate']:.2f}: {row['seconds']:.2f}s  "
               f"matrix hits {row['design_matrix_hits']}  "
               f"misses {row['design_matrix_misses']}")
 
-    print("[5/7] observability overhead (traced vs untraced sweep)...")
+    print("[4/6] observability overhead (traced vs untraced sweep)...")
     trace_out = Path(args.out).parent / "BENCH_trace.jsonl"
     report["layers"]["observability"] = ob = bench_observability(
         configs, profile, args.reduced, trace_out)
@@ -354,14 +323,14 @@ def main(argv=None) -> int:
         print(f"      phase {row['phase']:<12} count={row['count']:<4} "
               f"total={row['total_s']:.4f}s")
 
-    print("[6/7] forced LRU eviction under a repeated chunked sweep...")
+    print("[5/6] forced LRU eviction under a repeated chunked sweep...")
     report["layers"]["cache_eviction"] = ce = bench_cache_eviction(
         configs, profile, args.reduced)
     print(f"      {ce['seconds']:.3f}s  hits {ce['hits']}  misses "
           f"{ce['misses']}  hit-rate {ce['hit_rate']:.3f}  evictions "
           f"{ce['evictions']}  bit-identical {ce['bit_identical']}")
 
-    print("[7/7] one NN training epoch (NN-E shape, Rprop)...")
+    print("[6/6] one NN training epoch (NN-E shape, Rprop)...")
     report["layers"]["nn_epoch"] = nn = bench_nn_epoch(args.reduced)
     print(f"      {nn['us_per_epoch_median']:.1f} us/epoch median  IQR "
           f"{nn['us_per_epoch_iqr']:.1f}  ({nn['repeats']} x {nn['epochs']} "
@@ -373,8 +342,7 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     print(f"wrote {trace_out}")
 
-    diverged = not (sim["bit_identical"] and par["bit_identical"]
-                    and ob["bit_identical"])
+    diverged = not (sim["bit_identical"] and ob["bit_identical"])
     if diverged:
         print("FATAL: batched/scalar or traced/untraced sweep outputs diverged",
               file=sys.stderr)

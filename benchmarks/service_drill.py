@@ -56,7 +56,11 @@ from pathlib import Path
 import numpy as np
 
 APPS = ("gcc", "mcf", "gzip", "art")
-SLICE_STOP = 60
+#: Each job sweeps three SWEEP_CHUNK (64-config) tasks; the chaos injector
+#: kills a first-generation worker in chunk KILL_AT, so the kill lands
+#: mid-sweep.
+SLICE_STOP = 3 * 64
+KILL_AT = 1
 N_INSTR = 1_000_000
 SEED = 7
 
@@ -64,6 +68,15 @@ SEED = 7
 def _fail(msg: str) -> None:
     print(f"service_drill: FAIL: {msg}", file=sys.stderr)
     sys.exit(2)
+
+
+def _oracle(configs, app: str) -> np.ndarray:
+    """The scalar loop: one ``evaluate_config`` per configuration."""
+    from repro.simulator import evaluate_config, get_profile
+
+    profile = get_profile(app)
+    return np.array([evaluate_config(c, profile, N_INSTR).cycles
+                     for c in configs])
 
 
 def _cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -90,7 +103,7 @@ def _run_chaos_serve(spool_dir: Path, *extra: str) -> float:
     p = _cli("serve", "--spool", str(spool_dir), "--workers", "2",
              "--lease-ttl", "2", "--heartbeat-timeout", "5",
              "--drain-on-idle", "--max-runtime", "120",
-             "--chaos-sigkill-at", "30", "--seed", str(SEED), *extra)
+             "--chaos-sigkill-at", str(KILL_AT), "--seed", str(SEED), *extra)
     elapsed = time.monotonic() - t0
     if p.returncode != 0:
         _fail(f"obs drill serve rc={p.returncode}: {p.stderr}")
@@ -101,11 +114,7 @@ def obs_drill(workdir: Path, out_dir: Path, report: dict) -> None:
     """Step 6: the traced-vs-untraced chaos drill (see module docstring)."""
     from repro.obs import validate_record
     from repro.service import JobSpool
-    from repro.simulator import (
-        enumerate_design_space,
-        get_profile,
-        sweep_design_space,
-    )
+    from repro.simulator import enumerate_design_space
 
     plain_dir = workdir / "obs-plain"
     traced_dir = workdir / "obs-traced"
@@ -132,8 +141,7 @@ def obs_drill(workdir: Path, out_dir: Path, report: dict) -> None:
         spool = JobSpool.open(spool_dir)
         views = spool.jobs()
         for app in OBS_APPS:
-            oracle = np.asarray(sweep_design_space(
-                configs, get_profile(app), n_instructions=N_INSTR))
+            oracle = _oracle(configs, app)
             jid = next(j for j, v in views.items() if v.spec.app == app)
             if views[jid].state != "done":
                 _fail(f"obs drill ({label}): {app} not done "
@@ -273,7 +281,7 @@ def main() -> int:
          "--workers", "2", "--max-depth", str(len(APPS)),
          "--lease-ttl", "2", "--heartbeat-timeout", "5",
          "--drain-on-idle", "--max-runtime", "120",
-         "--chaos-sigkill-at", "30", "--seed", str(SEED)],
+         "--chaos-sigkill-at", str(KILL_AT), "--seed", str(SEED)],
         stderr=subprocess.PIPE, text=True)
 
     # 3b. While it runs, murder one worker from outside too (operator-style:
@@ -322,16 +330,11 @@ def main() -> int:
           f"{redispatched} lease(s) re-dispatched after kills")
 
     # Bit-identity against the serial in-process oracle.
-    from repro.simulator import (
-        enumerate_design_space,
-        get_profile,
-        sweep_design_space,
-    )
+    from repro.simulator import enumerate_design_space
 
     configs = list(enumerate_design_space())[0:SLICE_STOP]
     for app, jid in zip(APPS, jids):
-        oracle = np.asarray(sweep_design_space(
-            configs, get_profile(app), n_instructions=N_INSTR))
+        oracle = _oracle(configs, app)
         got = spool.result(jid)["cycles"]
         if not np.array_equal(oracle, got):
             _fail(f"{app}: service result differs from serial oracle")

@@ -25,7 +25,7 @@ Subcommands
     table (queue-wait, lease-to-start, execute, end-to-end per job kind).
 ``doctor``
     Environment self-check: Python/numpy versions, cache-dir writability,
-    shared-memory availability, seed reproducibility, service spool health
+    seed reproducibility, service spool health
     (writability + flock, fd headroom, multiprocessing start method, stale
     leases), and the observability plane (status-file writability, shard
     metrics snapshot freshness vs. heartbeats, spool-vs-span clock skew).
@@ -102,6 +102,9 @@ one-line stderr message instead of a traceback. A hidden ``--chaos`` flag
 drives the failure-injection harness for chaos runs (e.g.
 ``--chaos exc=0.1,crash=0.01``); ``serve`` has matching hidden
 ``--chaos-sigkill-at`` / ``--chaos-slow`` flags for supervision drills.
+A ``sweep`` task is one chunk of 64 design points
+(:data:`repro.simulator.interval.SWEEP_CHUNK`): the 4608-point space is 72
+tasks, and retries, checkpoint records and injected faults count chunks.
 
 Examples
 --------
@@ -213,7 +216,7 @@ def _make_ladder(args: argparse.Namespace):
 def _add_resilience(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("fault tolerance")
     g.add_argument("--parallel", action="store_true",
-                   help="run sweep tasks on a process pool")
+                   help="run tasks on a process pool")
     g.add_argument("--retries", type=int, default=0, metavar="N",
                    help="retry each failed task up to N times "
                         "(exponential backoff, deterministic jitter)")
@@ -221,7 +224,8 @@ def _add_resilience(p: argparse.ArgumentParser) -> None:
                    help="per-task wall-clock budget; enforced with --parallel "
                         "by killing and rebuilding hung workers")
     g.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="JSONL journal recording each completed task")
+                   help="JSONL journal recording each completed task "
+                        "(a sweep task is a 64-configuration chunk)")
     g.add_argument("--resume", action="store_true",
                    help="skip tasks already recorded in --checkpoint")
     # Chaos harness for fault-tolerance drills; deliberately undocumented in
@@ -229,14 +233,16 @@ def _add_resilience(p: argparse.ArgumentParser) -> None:
     g.add_argument("--chaos", default=None, help=argparse.SUPPRESS)
 
 
+def _wants_resilience(args: argparse.Namespace) -> bool:
+    """True when a flag acts on individual tasks (retry/timeout/journal/chaos)."""
+    return (args.retries > 0 or args.task_timeout is not None
+            or args.checkpoint is not None or args.chaos is not None)
+
+
 def _make_executor(args: argparse.Namespace) -> Executor:
     """Build the executor the resilience flags describe (caller closes it)."""
     inner: Executor = ProcessExecutor() if args.parallel else SerialExecutor()
-    wants_resilience = (
-        args.retries > 0 or args.task_timeout is not None
-        or args.checkpoint is not None or args.chaos is not None
-    )
-    if not wants_resilience:
+    if not _wants_resilience(args):
         return inner
     journal = (CheckpointJournal(args.checkpoint, resume=args.resume)
                if args.checkpoint is not None else None)
@@ -477,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto-compact once this many events accumulate "
                         "since the last compaction (default 4096)")
     # Chaos harness for supervision drills; hidden like the sweep one.
+    # --chaos-sigkill-at N kills a first-generation worker at task N of a
+    # sweep job, and a sweep task is one SWEEP_CHUNK-config chunk.
     p.add_argument("--chaos-sigkill-at", type=int, default=None,
                    help=argparse.SUPPRESS)
     p.add_argument("--chaos-slow", type=float, default=None,
@@ -552,30 +560,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_method(args: argparse.Namespace) -> str:
-    """Batched kernels unless a flag demands per-config task dispatch.
-
-    Retries, timeouts, checkpoints, and chaos all operate on individual
-    tasks; keeping those sweeps per-config preserves their journal
-    fingerprints and failure granularity. Otherwise the vectorized batch
-    path runs (bit-identical, ~10x faster).
-    """
-    wants_task_level = (
-        args.retries > 0 or args.task_timeout is not None
-        or args.checkpoint is not None or args.chaos is not None
-    )
-    return "scalar" if wants_task_level else "batch"
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = list(enumerate_design_space())
-    method = _sweep_method(args)
-    # Task-level runs bypass the cycles cache too: a cache hit would skip
-    # dispatch entirely, leaving nothing for the journal/retry machinery.
+    task_level = _wants_resilience(args)
+    # A plain serial run is one batch call; any flag runs chunk tasks on the
+    # executor. Task-level runs bypass the cycles cache too: a cache hit
+    # would skip dispatch, leaving nothing for the journal/retry machinery.
     with _make_executor(args) as ex:
-        cycles = sweep_design_space(configs, get_profile(args.app), executor=ex,
-                                    method=method,
-                                    cache=method == "batch" and not args.no_cache)
+        cycles = sweep_design_space(
+            configs, get_profile(args.app),
+            executor=ex if task_level or args.parallel else None,
+            cache=not (task_level or args.no_cache))
     prof = profile_responses(cycles)
     print(f"{args.app}: {len(configs)} configurations")
     print(f"  cycle range (best/worst)   : {prof.range:.2f}x")

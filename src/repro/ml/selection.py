@@ -72,21 +72,6 @@ def _holdout_rep(args: tuple[ModelBuilder, Dataset, Dataset]) -> float:
     return mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
 
 
-def _holdout_rep_shared(args) -> float:
-    """One holdout repetition against a shared-memory-shipped training set.
-
-    The task carries only a payload handle plus the rep's index pair; the
-    dataset itself is attached (and deserialized once per worker process)
-    via :func:`repro.parallel.shm.attach_payload`. ``train.take`` here
-    builds exactly the datasets :meth:`Dataset.random_split` would have.
-    """
-    from repro.parallel.shm import attach_payload
-
-    builder, handle, sel_idx, rest_idx = args
-    train = attach_payload(handle)
-    return _holdout_rep((builder, train.take(sel_idx), train.take(rest_idx)))
-
-
 def estimate_error(
     builder: ModelBuilder,
     train: Dataset,
@@ -104,9 +89,7 @@ def estimate_error(
     The splits are always drawn serially from ``rng`` (so the stream of
     draws — and therefore every number produced — is identical whether or
     not an ``executor`` is given); only the model fits, which consume no
-    shared randomness, are fanned out. When the executor is backed by a
-    process pool, the training set crosses the process boundary once, as a
-    shared-memory payload, instead of twice per repetition inside each task.
+    shared randomness, are fanned out.
     """
     if n_reps <= 0:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -117,24 +100,10 @@ def estimate_error(
         if executor is None:
             errors = [_holdout_rep((builder, train.take(s), train.take(r)))
                       for s, r in splits]
-        elif _process_backed(executor):
-            from repro.parallel.shm import SharedPayload
-
-            with SharedPayload(train) as shipped:
-                errors = executor.map(
-                    _holdout_rep_shared,
-                    [(builder, shipped.handle, s, r) for s, r in splits])
         else:
             errors = executor.map(
                 _holdout_rep, [(builder, train.take(s), train.take(r)) for s, r in splits])
     return ErrorEstimate(model_name=name, per_rep=tuple(errors))
-
-
-def _process_backed(executor: Executor) -> bool:
-    """True when tasks will cross a process boundary (worth shipping via shm)."""
-    from repro.parallel.executor import ProcessExecutor
-
-    return isinstance(getattr(executor, "inner", executor), ProcessExecutor)
 
 
 def select_model(

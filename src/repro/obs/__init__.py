@@ -31,7 +31,7 @@ Instrumented code uses one primitive::
 
     with phase("sweep", app=profile.name, n_configs=n) as sp:
         cycles = compute()
-        sp.set(method=resolved)
+        sp.set(cache="hit")
 
 :func:`phase` opens a trace span *and* a profiling section under one name.
 When neither tracing nor profiling is configured (the default) it returns a

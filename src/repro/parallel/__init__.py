@@ -1,5 +1,5 @@
-"""Parallel execution substrate (serial / process-pool map, partitioning,
-fault-tolerant wrapper with retries, timeouts, and checkpoint/resume)."""
+"""Parallel execution substrate (serial / process-pool map, fault-tolerant
+wrapper with retries, timeouts, and checkpoint/resume)."""
 
 from repro.parallel.executor import (
     Executor,
@@ -7,7 +7,6 @@ from repro.parallel.executor import (
     SerialExecutor,
     default_executor,
 )
-from repro.parallel.partition import balanced_chunks, chunk_bounds, interleaved_chunks
 from repro.parallel.resilient import (
     CheckpointJournal,
     FaultInjector,
@@ -21,9 +20,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "default_executor",
-    "balanced_chunks",
-    "chunk_bounds",
-    "interleaved_chunks",
     "CheckpointJournal",
     "FaultInjector",
     "ResilientExecutor",

@@ -342,26 +342,6 @@ class _TaskCall:
         return self.fn(item)
 
 
-class _ChunkCall:
-    """Picklable wrapper running a batch of task attempts in one dispatch.
-
-    Returns one ``(ok, value_or_exception)`` pair per task, so a single bad
-    task inside a chunk fails alone instead of poisoning its chunk-mates.
-    """
-
-    def __init__(self, call: _TaskCall) -> None:
-        self.call = call
-
-    def __call__(self, payload: list[tuple[int, int, Any]]) -> list[tuple[bool, Any]]:
-        out: list[tuple[bool, Any]] = []
-        for packed in payload:
-            try:
-                out.append((True, self.call(packed)))
-            except Exception as exc:
-                out.append((False, exc))
-        return out
-
-
 @dataclass
 class _Pending:
     """One schedulable task attempt."""
@@ -545,59 +525,6 @@ class ResilientExecutor(Executor):
 
     # -- process-pool backend ----------------------------------------------
 
-    def _drain_chunked(
-        self,
-        wrapped: "_TaskCall",
-        items: list[Any],
-        fps: list[str],
-        pending: deque,
-        results: list[Any],
-        failures: list[TaskFailure],
-    ) -> None:
-        """First-pass dispatch in chunks: one IPC round-trip per chunk.
-
-        Per-task submits cost a pickling round-trip each — 4608 of them for a
-        full design sweep. When no per-task timeout or fault injector needs
-        task-level dispatch, the initial attempts ride in chunks sized by the
-        pool's heuristic; each task inside a chunk still succeeds or fails
-        individually (journaled and retried exactly as before). Tasks needing
-        a retry, and everything after a pool crash, drop back to the per-task
-        loop, which owns backoff timing and the rebuild budget.
-        """
-        pool: ProcessExecutor = self.inner  # type: ignore[assignment]
-        chunksize = pool._pick_chunksize(len(pending))
-        if chunksize <= 1:
-            return
-        tasks = list(pending)
-        pending.clear()
-        chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
-        chunk_call = _ChunkCall(wrapped)
-        futures = []
-        broken = False
-        for chunk in chunks:
-            if broken:
-                pending.extend(chunk)
-                continue
-            payload = [(t.index, t.attempt, items[t.index]) for t in chunk]
-            try:
-                futures.append((chunk, pool.submit(chunk_call, payload)))
-            except BrokenProcessPool:
-                pending.extend(chunk)
-                broken = True
-        for chunk, fut in futures:
-            try:
-                outcomes = fut.result()
-            except BrokenProcessPool:
-                # Not these tasks' fault: requeue at the same attempt and let
-                # the per-task loop spend the rebuild budget.
-                pending.extend(chunk)
-                continue
-            for task, (ok, value) in zip(chunk, outcomes):
-                if ok:
-                    self._complete(task.index, fps[task.index], value, results)
-                else:
-                    self._on_error(task, value, fps, pending, failures)
-
     def _run_pool(
         self,
         wrapped: _TaskCall,
@@ -608,11 +535,6 @@ class ResilientExecutor(Executor):
         failures: list[TaskFailure],
     ) -> None:
         pool: ProcessExecutor = self.inner  # type: ignore[assignment]
-        if self.task_timeout is None and self.injector is None:
-            # Chunked first pass; leftovers (retries, crash requeues) below.
-            self._drain_chunked(wrapped, items, fps, pending, results, failures)
-            if not pending and not failures:
-                return
         rebuilds_left = self.max_pool_rebuilds
         # Window = pool width: every submitted task starts immediately, so
         # the per-task timeout clock (started at submit) is fair.

@@ -12,9 +12,9 @@ the tentpole of the service layer — *degrade instead of dying*:
   checkpoint journal survives (flock is kernel-released on death), so the
   replacement resumes the job instead of restarting it.
 * Chaos injectors are given to the **initial** generation only. A drill
-  that SIGKILLs worker 0 at task 40 converges: the restarted worker runs
-  clean, resumes the journal at task 40, and the sweep completes
-  bit-identically.
+  that SIGKILLs worker 0 at sweep task 1 (its second 64-config chunk)
+  converges: the restarted worker runs clean, resumes the journal at
+  chunk 1, and the sweep completes bit-identically.
 * A slot that exhausts ``max_restarts`` is **abandoned** (recorded, never
   respawned); the service keeps running on the surviving shards. Only when
   *every* slot is dead with work still queued does :meth:`run` raise

@@ -6,13 +6,14 @@ fails:
 
 * **Crash mid-job** (exception, ``os._exit``, SIGKILL): the lease expires,
   the spool re-dispatches, and the *next* worker resumes from the job's
-  checkpoint journal — :func:`execute_sweep` runs every per-config task
+  checkpoint journal — :func:`execute_sweep` runs the job's slice as
+  ``SWEEP_CHUNK``-config batch tasks (:func:`repro.simulator.interval.sweep_tasks`)
   through a :class:`~repro.parallel.ResilientExecutor` with a flock-guarded
-  :class:`~repro.parallel.CheckpointJournal`, so re-execution recomputes
-  only the tail and the final result is bit-identical to an uninterrupted
-  run.
-* **Slow job, live worker**: the per-task heartbeat path renews the lease
-  well inside its TTL, so a sweep that outlives one lease is not
+  :class:`~repro.parallel.CheckpointJournal`, one record per chunk, so
+  re-execution recomputes only the unjournaled chunks and the final result
+  is bit-identical to an uninterrupted run.
+* **Slow job, live worker**: every chunk task heartbeats and renews the
+  lease well inside its TTL, so a sweep that outlives one lease is not
   re-dispatched from under a healthy holder; if a claim does race a live
   holder (lease lapsed mid-task), the holder's journal flock turns the
   race into a back-off — never a job failure.
@@ -21,7 +22,7 @@ fails:
   fingerprint, so the re-dispatched execution finds it and completes
   without recomputing.
 * **Deadline exceeded**: jobs submitted with a deadline carry it into every
-  per-config task; once the wall clock passes ``submitted_t + deadline_s``
+  chunk task; once the wall clock passes ``submitted_t + deadline_s``
   the job fails with the typed
   :class:`~repro.errors.JobDeadlineExceeded` instead of running forever.
 * **Sick dependencies**: two circuit breakers, held across jobs, guard the
@@ -71,6 +72,7 @@ from repro.parallel.resilient import (
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
+from repro.simulator.interval import _eval_chunk, sweep_tasks
 from repro.util.rng import stream_seed
 
 __all__ = ["WorkerConfig", "Worker", "worker_main", "drain_queue"]
@@ -95,9 +97,8 @@ class WorkerConfig:
     name: str                    # shard name; also the heartbeat file stem
     seed: int = 0
     poll_interval: float = 0.05  # idle sleep between claim attempts
-    heartbeat_every: int = 32    # configs between mid-sweep heartbeats
     max_jobs: int | None = None  # stop after N jobs (tests); None: until drain
-    task_retries: int = 1        # transient-exception retries per config task
+    task_retries: int = 1        # transient-exception retries per chunk task
     #: Chaos harness applied to sweep task execution (supervision drills).
     injector: FaultInjector | None = None
     #: Trips the NN ladder rungs after this many consecutive fit failures.
@@ -128,50 +129,43 @@ class _GuardedLadder:
 
 
 class _SweepTask:
-    """Per-config task: deadline gate, periodic heartbeat, then evaluate.
+    """Per-chunk task: deadline gate, heartbeat, lease renewal, evaluate.
 
     Runs in the worker process itself (serial inner executor), so it may
     hold live references to the spool. Checkpoint fingerprints hash the
-    task *payload* ``(config, profile, n_instructions)`` — identical to the
-    simulator's own scalar path — plus this class's qualname, so resumed
-    journals match across worker generations.
+    task *payload* — a :func:`~repro.simulator.interval.sweep_tasks` chunk —
+    plus this class's qualname, so resumed journals match across worker
+    generations.
     """
 
     def __init__(self, spool: JobSpool, worker: str, job_id: str,
-                 deadline_t: float | None, heartbeat_every: int,
-                 beat=None) -> None:
+                 deadline_t: float | None, beat=None) -> None:
         self.spool = spool
         self.worker = worker
         self.job_id = job_id
         self.deadline_t = deadline_t
-        self.heartbeat_every = max(1, heartbeat_every)
         # The owning Worker's heartbeat method when available: it layers the
         # breaker states and the periodic metrics flush onto the plain spool
         # heartbeat, so mid-sweep beats keep shard telemetry current too.
         self._beat = beat if beat is not None else \
             (lambda job=None: spool.heartbeat(worker, job=job))
-        self._n = 0
         # Renew well inside the TTL so a sweep that outlives one lease is
-        # never re-dispatched from under us; checked every task (wall-clock
-        # gated) because a single slow task can outlast the config cadence.
+        # never re-dispatched from under us (wall-clock gated: renewing
+        # costs a spool append).
         self._renew_every = self.spool.config.lease_ttl / 3.0
         self._last_renew = time.time()
 
-    def __call__(self, args: tuple[Any, Any, int]) -> float:
+    def __call__(self, task: tuple) -> np.ndarray:
         if self.deadline_t is not None and time.time() > self.deadline_t:
             raise JobDeadlineExceeded(
                 f"job {self.job_id[:12]} passed its deadline mid-sweep",
                 job_id=self.job_id)
-        self._n += 1
-        if self._n % self.heartbeat_every == 0:
-            self._beat(job=self.job_id)
+        self._beat(job=self.job_id)
         now = time.time()
         if now - self._last_renew >= self._renew_every:
             self.spool.renew(self.job_id, self.worker, now=now)
             self._last_renew = now
-        from repro.simulator.interval import _eval_cycles
-
-        return _eval_cycles(args)
+        return _eval_chunk(task)
 
 
 class Worker:
@@ -245,15 +239,13 @@ class Worker:
         return self.execute_fit(job, deadline_t)
 
     def execute_sweep(self, job: JobView, deadline_t: float | None) -> Any:
-        """Simulate the job's design-space slice, checkpointed per config."""
+        """Simulate the job's design-space slice, checkpointed per chunk."""
         from repro.simulator import enumerate_design_space, get_profile
 
         spec = job.spec
         configs = list(enumerate_design_space())[spec.start:spec.stop]
-        profile = get_profile(spec.app)
-        items = [(c, profile, spec.n_instructions) for c in configs]
-        task = _SweepTask(self.spool, self.config.name, job.id,
-                          deadline_t, self.config.heartbeat_every,
+        items = sweep_tasks(configs, get_profile(spec.app), spec.n_instructions)
+        task = _SweepTask(self.spool, self.config.name, job.id, deadline_t,
                           beat=self.heartbeat)
         try:
             journal = CheckpointJournal(self.spool.checkpoint_path(job.id),
@@ -271,7 +263,7 @@ class Worker:
             seed=stream_seed(self.config.seed, "svc-job", job.id),
         )
         try:
-            cycles = ex.map(task, items)
+            parts = ex.map(task, items)
         except SweepAborted as exc:
             # Progress is journaled; surface the most meaningful cause.
             for failure in exc.failures:
@@ -285,7 +277,8 @@ class Worker:
             ex.close()
         return {"kind": "sweep", "app": spec.app,
                 "start": spec.start, "stop": spec.stop,
-                "cycles": np.asarray(cycles, dtype=np.float64)}
+                "cycles": np.concatenate(parts) if parts
+                else np.array([], dtype=np.float64)}
 
     def execute_fit(self, job: JobView, deadline_t: float | None) -> Any:
         """Run one sampled-DSE fit, breaker-guarding the NN ladder rungs."""

@@ -23,9 +23,9 @@ Because the leaves are *the same floats* the scalar path produces and the
 combination arithmetic performs the identical IEEE-754 operation sequence per
 element, the batched sweep is **bit-identical** to the scalar loop — the test
 suite pins ``np.array_equal`` over the full 4608-point space for every
-workload profile, and the perf harness re-checks it on every run. The scalar
-path stays available as the cross-check oracle
-(``sweep_design_space(..., method="scalar")``).
+workload profile, and the perf harness re-checks it on every run. Looping
+:func:`~repro.simulator.interval.evaluate_config` over the configs stays the
+cross-check oracle.
 """
 
 from __future__ import annotations

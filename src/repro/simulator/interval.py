@@ -49,7 +49,14 @@ from repro.simulator.analytic import mispredict_rate, miss_rate, tlb_miss_rate
 from repro.simulator.config import KB, MicroarchConfig
 from repro.simulator.workloads import MemoryBehavior, WorkloadProfile
 
-__all__ = ["Latencies", "IntervalResult", "evaluate_config", "sweep_design_space"]
+__all__ = [
+    "Latencies",
+    "IntervalResult",
+    "SWEEP_CHUNK",
+    "evaluate_config",
+    "sweep_design_space",
+    "sweep_tasks",
+]
 
 
 @dataclass(frozen=True)
@@ -229,48 +236,34 @@ def evaluate_config(
     )
 
 
-def _eval_cycles(args: tuple[MicroarchConfig, WorkloadProfile, int]) -> float:
-    config, profile, n_instructions = args
-    return evaluate_config(config, profile, n_instructions).cycles
+#: Configurations per sweep task. Every executor-run sweep — library,
+#: ``repro sweep --checkpoint``, service sweep jobs — is a list of chunk tasks
+#: of this size, so checkpoint fingerprints depend only on the design space,
+#: never on the host's CPU count.
+SWEEP_CHUNK = 64
 
 
-def _eval_block_slice(args: tuple) -> list[float]:
-    """One batched sweep task: evaluate rows [start, stop) of a shipped block.
+def sweep_tasks(
+    configs: Sequence[MicroarchConfig],
+    profile: WorkloadProfile,
+    n_instructions: int,
+) -> list[tuple[tuple[MicroarchConfig, ...], WorkloadProfile, int]]:
+    """Split a sweep into consecutive ``SWEEP_CHUNK``-config tasks for
+    :func:`_eval_chunk`, in design-space order."""
+    configs = list(configs)
+    return [(tuple(configs[i:i + SWEEP_CHUNK]), profile, n_instructions)
+            for i in range(0, len(configs), SWEEP_CHUNK)]
 
-    The design space travels once per worker via a shared-memory payload
-    handle (see :mod:`repro.parallel.shm`); the task tuple itself is a few
-    dozen bytes. Module-level so it can cross process borders.
+
+def _eval_chunk(task: tuple) -> np.ndarray:
+    """One sweep task: batch-evaluate a chunk from :func:`sweep_tasks`.
+
+    Module-level so it can cross process borders.
     """
-    from repro.parallel.shm import attach_payload
     from repro.simulator.batch import evaluate_design_space_batch
 
-    handle, start, stop = args
-    block, profile, n_instructions = attach_payload(handle)
-    cycles = evaluate_design_space_batch(
-        block.slice(start, stop), profile, n_instructions)
-    return cycles.tolist()
-
-
-def _batched_executor_sweep(configs, profile, n_instructions, executor) -> np.ndarray:
-    """Fan a batched sweep out over an executor, shipping the space once."""
-    import os
-
-    from repro.parallel.executor import SerialExecutor
-    from repro.parallel.partition import chunk_bounds
-    from repro.parallel.shm import SharedPayload
-    from repro.simulator.batch import pack_design_space
-
-    block = pack_design_space(configs)
-    # A serial executor runs in-process: skip the shared-memory round trip
-    # (the resilient wrapper exposes its backend as ``inner``).
-    backend = getattr(executor, "inner", executor)
-    use_shm = not isinstance(backend, SerialExecutor)
-    n_chunks = min(len(configs), 4 * (os.cpu_count() or 1))
-    with SharedPayload((block, profile, n_instructions), use_shm=use_shm) as shipped:
-        tasks = [(shipped.handle, start, stop)
-                 for start, stop in chunk_bounds(len(configs), n_chunks)]
-        parts = executor.map(_eval_block_slice, tasks)
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    configs, profile, n_instructions = task
+    return evaluate_design_space_batch(configs, profile, n_instructions)
 
 
 def sweep_design_space(
@@ -278,67 +271,34 @@ def sweep_design_space(
     profile: WorkloadProfile,
     n_instructions: int = 100_000_000,
     executor=None,
-    parallel: bool | None = None,
-    method: str = "auto",
     cache=None,
 ) -> np.ndarray:
     """Cycle counts for every configuration.
 
-    ``method`` selects the evaluation kernel — every choice returns
-    bit-identical cycles (the test suite pins this over the full space):
-
-    * ``"batch"`` — vectorized structure-of-arrays evaluation
-      (:func:`repro.simulator.batch.evaluate_design_space_batch`). With an
-      executor (or ``parallel``), the packed design space ships to workers
-      once via shared memory and each task evaluates a contiguous slice.
-    * ``"scalar"`` — the per-config loop, kept as the cross-check oracle.
-      With an executor, each configuration is one task (the historical task
-      shape, which checkpoint journals from older runs key on).
-    * ``"auto"`` (default) — ``"batch"`` when serial, ``"scalar"`` when an
-      ``executor`` is passed, preserving the per-config task fingerprints of
-      existing checkpointed sweeps.
+    Cycles come from the vectorized structure-of-arrays kernel
+    (:func:`repro.simulator.batch.evaluate_design_space_batch`), which is
+    bit-identical to looping :func:`evaluate_config` (the test suite pins
+    this over the full space). With an ``executor`` the sweep runs as
+    :func:`sweep_tasks` chunks, so retries, checkpoints and fault injection
+    of a :class:`repro.parallel.ResilientExecutor` act per chunk.
 
     ``cache`` enables content-addressed result caching: pass ``True`` for the
     process-wide default :func:`repro.cache.default_cache`, or a
     :class:`repro.cache.ResultCache`. Cached sweeps are keyed by the design
     space, profile, instruction count, and simulator code version, so any
-    code or input change recomputes. ``parallel`` (with no ``executor``)
-    creates — and always closes — a
-    :func:`repro.parallel.default_executor`.
+    code or input change recomputes.
     """
-    if method not in ("auto", "batch", "scalar"):
-        raise ValueError(f"method must be auto|batch|scalar, got {method!r}")
     configs = list(configs)
     if not configs:
         return np.array([], dtype=np.float64)
 
     def compute() -> np.ndarray:
-        resolved = method
-        if resolved == "auto":
-            resolved = "scalar" if executor is not None else "batch"
-        span.set(method=resolved)
-        if resolved == "batch":
-            if executor is not None:
-                return _batched_executor_sweep(
-                    configs, profile, n_instructions, executor)
-            if parallel is not None:
-                from repro.parallel.executor import default_executor
-
-                with default_executor(len(configs), parallel) as ex:
-                    return _batched_executor_sweep(
-                        configs, profile, n_instructions, ex)
+        if executor is None:
             from repro.simulator.batch import evaluate_design_space_batch
 
             return evaluate_design_space_batch(configs, profile, n_instructions)
-        tasks = [(c, profile, n_instructions) for c in configs]
-        if executor is not None:
-            return np.array(executor.map(_eval_cycles, tasks))
-        if parallel is not None:
-            from repro.parallel.executor import default_executor
-
-            with default_executor(len(tasks), parallel) as ex:
-                return np.array(ex.map(_eval_cycles, tasks))
-        return np.array([_eval_cycles(t) for t in tasks])
+        return np.concatenate(executor.map(
+            _eval_chunk, sweep_tasks(configs, profile, n_instructions)))
 
     with _obs_phase("sweep", app=profile.name, n_configs=len(configs)) as span:
         if cache is None or cache is False:

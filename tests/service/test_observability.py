@@ -23,6 +23,7 @@ from repro.service import (
     submit_job,
 )
 from repro.service.supervisor import STATUS_SCHEMA
+from repro.simulator.interval import SWEEP_CHUNK
 
 N_INSTR = 1_000_000
 
@@ -304,8 +305,9 @@ class TestObservedChaosDrill:
         sup = WorkerSupervisor(ServiceConfig(
             root=root, workers=2, lease_ttl=2.0, heartbeat_timeout=10.0,
             drain_on_idle=True, max_runtime=90.0, seed=3, obs=True,
-            injector=FaultInjector(sigkill_indices=(5,))))
-        jids = [submit_job(root, sweep_spec(app, stop=12))
+            injector=FaultInjector(sigkill_indices=(1,))))
+        # Three chunk tasks per job, killed in the second: mid-sweep.
+        jids = [submit_job(root, sweep_spec(app, stop=3 * SWEEP_CHUNK))
                 for app in ("gcc", "mcf")]
         assert sup.run() == 0
         assert any("code=-9" in e for e in sup.events), sup.events

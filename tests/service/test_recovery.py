@@ -1,13 +1,15 @@
 """Crash-recovery invariants: nothing computed twice, nothing lost."""
 
+import base64
 import json
 import multiprocessing
+import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.parallel import FaultInjector
+from repro.parallel import FaultInjector, task_fingerprint
 from repro.service import (
     JobFailed,
     JobSpec,
@@ -21,10 +23,14 @@ from repro.service import (
     wait_for,
     worker_main,
 )
-from repro.simulator import enumerate_design_space, get_profile, sweep_design_space
+from repro.simulator import enumerate_design_space, evaluate_config, get_profile
+from repro.simulator.interval import SWEEP_CHUNK
 
 N_INSTR = 1_000_000
 STOP = 12
+#: Kill drills sweep three chunk tasks and die in the second, so the kill
+#: lands mid-sweep with one chunk journaled.
+KILL_STOP = 3 * SWEEP_CHUNK
 
 
 def sweep_spec(app="gcc", stop=STOP):
@@ -33,8 +39,10 @@ def sweep_spec(app="gcc", stop=STOP):
 
 
 def oracle(app="gcc", stop=STOP):
-    configs = list(enumerate_design_space())[:stop]
-    return sweep_design_space(configs, get_profile(app), n_instructions=N_INSTR)
+    """The scalar loop every sweep path must match bit for bit."""
+    profile = get_profile(app)
+    return np.array([evaluate_config(c, profile, N_INSTR).cycles
+                     for c in list(enumerate_design_space())[:stop]])
 
 
 @pytest.mark.slow
@@ -43,9 +51,9 @@ class TestSigkillRecovery:
         """Kill a worker mid-sweep; the successor resumes, not recomputes."""
         root = tmp_path / "s"
         spool = JobSpool.ensure(root, SpoolConfig(lease_ttl=0.5))
-        jid = spool.submit(sweep_spec())
-        cfg = WorkerConfig(root=str(root), name="doomed", heartbeat_every=1,
-                           injector=FaultInjector(sigkill_indices=(5,)))
+        jid = spool.submit(sweep_spec(stop=KILL_STOP))
+        cfg = WorkerConfig(root=str(root), name="doomed",
+                           injector=FaultInjector(sigkill_indices=(1,)))
         p = multiprocessing.Process(target=worker_main, args=(cfg,))
         p.start()
         p.join(timeout=60)
@@ -55,7 +63,7 @@ class TestSigkillRecovery:
         assert journal_path.exists()
         survivors = [json.loads(line) for line in
                      journal_path.read_text().splitlines()]
-        assert 1 <= len(survivors) < STOP  # partial progress persisted
+        assert 1 <= len(survivors) < 3  # partial progress persisted
 
         while spool.jobs()[jid].state == "running":
             time.sleep(0.05)  # lease of the dead holder expires
@@ -66,15 +74,61 @@ class TestSigkillRecovery:
         assert view.n_leases == 2
         assert view.n_expired == 1
         assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
-                              oracle())
-        # Resume skipped completed fingerprints: one record per config, none
+                              oracle(stop=KILL_STOP))
+        # Resume skipped completed fingerprints: one record per chunk, none
         # re-executed into a duplicate journal line.
         records = [json.loads(line) for line in
                    journal_path.read_text().splitlines()]
         fingerprints = [r["fp"] for r in records]
-        assert len(fingerprints) == STOP
-        assert len(set(fingerprints)) == STOP
+        assert len(fingerprints) == 3
+        assert len(set(fingerprints)) == 3
         assert fingerprints[:len(survivors)] == [r["fp"] for r in survivors]
+
+
+class TestPerConfigJournalUpgrade:
+    def test_per_config_records_are_recomputed_not_fatal(self, tmp_path):
+        """A job journal from before sweeps ran as chunk tasks holds one
+        record per config. Resuming it must not raise: no record matches a
+        chunk task, so every chunk recomputes and journals alongside."""
+        from repro.service.worker import _SweepTask
+
+        spool = JobSpool.ensure(tmp_path / "s")
+        stop = 2 * SWEEP_CHUNK
+        jid = spool.submit(sweep_spec(stop=stop))
+        profile = get_profile("gcc")
+        journal = spool.checkpoint_path(jid)
+        journal.parent.mkdir(parents=True, exist_ok=True)
+        # The per-config record shape: the task payload was
+        # (config, profile, n_instructions) and the value one float.
+        old = []
+        for i, c in enumerate(list(enumerate_design_space())[:100]):
+            value = evaluate_config(c, profile, N_INSTR).cycles
+            old.append(json.dumps({
+                "fp": task_fingerprint(_SweepTask, i, (c, profile, N_INSTR)),
+                "v": base64.b64encode(pickle.dumps(value, protocol=4)).decode("ascii"),
+            }))
+        journal.write_text("".join(line + "\n" for line in old))
+
+        assert drain_queue(spool, worker="upgraded") == 1
+        view = spool.jobs()[jid]
+        assert view.state == "done"
+        assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
+                              oracle(stop=stop))
+        lines = journal.read_text().splitlines()
+        assert lines[:100] == old          # old records left as they were
+        assert len(lines) == 100 + 2       # both chunks recomputed
+
+
+class TestEmptySlice:
+    def test_empty_slice_sweeps_to_empty_cycles(self, tmp_path):
+        """A ``[k, k)`` slice has no chunk task; it still completes."""
+        spool = JobSpool.ensure(tmp_path / "s")
+        jid = spool.submit(JobSpec(kind="sweep", app="gcc", start=5, stop=5,
+                                   n_instructions=N_INSTR))
+        assert drain_queue(spool, worker="w0") == 1
+        assert spool.jobs()[jid].state == "done"
+        cycles = np.asarray(spool.result(jid)["cycles"])
+        assert cycles.shape == (0,) and cycles.dtype == np.float64
 
 
 class TestResultReuse:

@@ -15,10 +15,13 @@ from repro.service import (
     drain_queue,
     submit_job,
 )
-from repro.simulator import enumerate_design_space, get_profile, sweep_design_space
+from repro.simulator import enumerate_design_space, evaluate_config, get_profile
+from repro.simulator.interval import SWEEP_CHUNK
 
 N_INSTR = 1_000_000
 STOP = 12
+#: The kill drill sweeps three chunk tasks and dies in the second.
+KILL_STOP = 3 * SWEEP_CHUNK
 
 
 def sweep_spec(app="gcc", stop=STOP):
@@ -27,8 +30,10 @@ def sweep_spec(app="gcc", stop=STOP):
 
 
 def oracle(app="gcc", stop=STOP):
-    configs = list(enumerate_design_space())[:stop]
-    return sweep_design_space(configs, get_profile(app), n_instructions=N_INSTR)
+    """The scalar loop every sweep path must match bit for bit."""
+    profile = get_profile(app)
+    return np.array([evaluate_config(c, profile, N_INSTR).cycles
+                     for c in list(enumerate_design_space())[:stop]])
 
 
 class TestSlotPolicy:
@@ -198,8 +203,9 @@ class TestSupervisedService:
         sup = WorkerSupervisor(ServiceConfig(
             root=root, workers=2, lease_ttl=2.0, heartbeat_timeout=10.0,
             drain_on_idle=True, max_runtime=90.0, seed=3,
-            injector=FaultInjector(sigkill_indices=(5,))))
-        jids = [submit_job(root, sweep_spec(app)) for app in ("gcc", "mcf")]
+            injector=FaultInjector(sigkill_indices=(1,))))
+        jids = [submit_job(root, sweep_spec(app, stop=KILL_STOP))
+                for app in ("gcc", "mcf")]
         assert sup.run() == 0
         assert any("code=-9" in e for e in sup.events), sup.events
         assert any(e.startswith("restart:") for e in sup.events)
@@ -209,7 +215,7 @@ class TestSupervisedService:
         # kill/restart/re-dispatch path.
         for jid, app in zip(jids, ("gcc", "mcf")):
             got = np.asarray(sup.spool.result(jid)["cycles"])
-            assert np.array_equal(got, oracle(app))
+            assert np.array_equal(got, oracle(app, stop=KILL_STOP))
 
     def test_idle_grace_lets_a_late_first_submit_land(self, tmp_path):
         """The quickstart race: ``serve --drain-on-idle &`` then ``submit``.

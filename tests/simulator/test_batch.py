@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.parallel import (
+    CheckpointJournal,
+    ProcessExecutor,
+    ResilientExecutor,
+    SerialExecutor,
+)
 from repro.simulator import (
     BatchResult,
     ConfigBlock,
@@ -16,7 +24,7 @@ from repro.simulator import (
     pack_design_space,
     sweep_design_space,
 )
-from repro.simulator.interval import _miss
+from repro.simulator.interval import SWEEP_CHUNK, _miss, sweep_tasks
 from repro.simulator.workloads import SPEC2000_PROFILES
 
 
@@ -102,23 +110,66 @@ class TestSweepMethods:
     def test_batch_and_scalar_methods_agree(self, design_space):
         profile = get_profile("swim")
         subset = design_space[:64]
-        batch = sweep_design_space(subset, profile, method="batch")
-        scalar = sweep_design_space(subset, profile, method="scalar")
+        batch = sweep_design_space(subset, profile)
+        scalar = [evaluate_config(c, profile).cycles for c in subset]
         assert np.array_equal(batch, scalar)
-
-    def test_auto_is_batch_when_serial(self, design_space):
-        profile = get_profile("gcc")
-        subset = design_space[:16]
-        auto = sweep_design_space(subset, profile)
-        scalar = sweep_design_space(subset, profile, method="scalar")
-        assert np.array_equal(auto, scalar)
-
-    def test_unknown_method_rejected(self, design_space):
-        with pytest.raises(ValueError, match="method"):
-            sweep_design_space(design_space[:2], get_profile("gcc"),
-                               method="quantum")
 
     def test_empty_configs(self):
         out = sweep_design_space([], get_profile("gcc"))
         assert out.shape == (0,)
         assert out.dtype == np.float64
+
+
+class TestExecutorSweep:
+    """The executor path: SWEEP_CHUNK-config batch tasks, bit for bit."""
+
+    N = 3 * SWEEP_CHUNK + 8  # three full chunks and a partial one
+
+    def test_chunks_cover_space_in_order(self, design_space):
+        profile = get_profile("gcc")
+        tasks = sweep_tasks(design_space[:self.N], profile, 1_000)
+        assert [len(t[0]) for t in tasks] == [SWEEP_CHUNK] * 3 + [8]
+        assert [c for t in tasks for c in t[0]] == design_space[:self.N]
+        assert all(t[1] is profile and t[2] == 1_000 for t in tasks)
+
+    @pytest.mark.parametrize("make", [
+        SerialExecutor,
+        lambda: ProcessExecutor(max_workers=2),
+    ], ids=["serial", "process"])
+    def test_executor_matches_serial_batch(self, design_space, make):
+        profile = get_profile("mcf")
+        subset = design_space[:self.N]
+        plain = sweep_design_space(subset, profile)
+        with make() as ex:
+            via_ex = sweep_design_space(subset, profile, executor=ex)
+        assert np.array_equal(via_ex, plain)
+
+    def test_journaled_resilient_matches_serial_batch(self, design_space, tmp_path):
+        profile = get_profile("art")
+        subset = design_space[:self.N]
+        plain = sweep_design_space(subset, profile)
+        path = tmp_path / "j.jsonl"
+        with ResilientExecutor(journal=CheckpointJournal(path)) as ex:
+            first = sweep_design_space(subset, profile, executor=ex)
+        assert len(path.read_text().splitlines()) == 4  # one record per chunk
+        with ResilientExecutor(journal=CheckpointJournal(path, resume=True)) as ex:
+            resumed = sweep_design_space(subset, profile, executor=ex)
+        assert "restored:4" in ex.events
+        assert np.array_equal(first, plain)
+        assert np.array_equal(resumed, plain)
+
+    def test_journal_fingerprints_ignore_cpu_count(self, design_space, tmp_path,
+                                                   monkeypatch):
+        """Chunking is fixed-size, so a checkpoint written on one host
+        resumes on another with a different CPU count."""
+        profile = get_profile("gcc")
+        fingerprints = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            path = tmp_path / f"cpus{cpus}.jsonl"
+            with ResilientExecutor(journal=CheckpointJournal(path)) as ex:
+                sweep_design_space(design_space[:self.N], profile, executor=ex)
+            fingerprints.append([json.loads(line)["fp"]
+                                 for line in path.read_text().splitlines()])
+        assert fingerprints[0] == fingerprints[1]
+        assert len(fingerprints[0]) == 4

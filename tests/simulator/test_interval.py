@@ -122,7 +122,7 @@ class TestSweep:
         plain = sweep_design_space(sub, p)
         with SerialExecutor() as ex:
             via_ex = sweep_design_space(sub, p, executor=ex)
-        np.testing.assert_allclose(plain, via_ex)
+        assert np.array_equal(plain, via_ex)
 
     def test_deterministic(self, configs):
         p = get_profile("mesa")

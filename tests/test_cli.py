@@ -122,7 +122,8 @@ class TestFaultTolerance:
         path = tmp_path / "sweep.jsonl"
         rc = main(["sweep", "applu", "--checkpoint", str(path)])
         assert rc == 0
-        assert path.exists() and path.stat().st_size > 0
+        # One record per 64-config chunk task: 4608 / 64.
+        assert len(path.read_text().splitlines()) == 72
         assert "4608 configurations" in capsys.readouterr().out
 
     def test_sweep_resume_reuses_journal(self, tmp_path, capsys):
