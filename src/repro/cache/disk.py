@@ -4,8 +4,8 @@ Entries live at ``<root>/<key[:2]>/<key>.pkl`` (fan-out subdirectories keep
 any single directory small). Each file is a small header — magic, payload
 SHA-256 checksum — followed by the pickled value, so a truncated or
 bit-rotted file is *detected* and treated as a miss (and deleted) rather
-than deserialized into garbage or a crash. Writes go through a temp file in
-the same directory plus :func:`os.replace`, so readers never observe a
+than deserialized into garbage or a crash. Writes go through
+:func:`repro.robust.diskchaos.replace_file`, so readers never observe a
 half-written entry and concurrent writers of the same key are safe (last
 writer wins with identical content).
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -87,11 +86,9 @@ class DiskStore:
         I/O failure degrades to not-cached (False) — callers for whom the
         write is load-bearing (the job spool's result store) check the
         return and turn False into a typed error; cache tiers ignore it.
-        The write path is tmp file -> fsync -> rename, all through the
-        :mod:`repro.robust.diskchaos` shim so chaos drills can fault each
-        step; without the fsync a post-rename crash could leave an empty
-        entry wearing a valid name (the checksum would catch it, but as a
-        silent miss of data the caller was told is durable).
+        The write is ``diskchaos.replace_file(durable=True)``: without its
+        file and directory fsyncs a crash could leave an empty entry, or
+        none, after the caller was told the write is durable.
         """
         from repro.robust import diskchaos as _fs
 
@@ -99,23 +96,11 @@ class DiskStore:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode() + payload
         try:
+            fresh_dir = not path.parent.is_dir()
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            try:
-                try:
-                    view = memoryview(blob)
-                    while view:
-                        view = view[_fs.fs_write(fd, view):]
-                    _fs.fs_fsync(fd)
-                finally:
-                    os.close(fd)
-                _fs.fs_replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:  # noqa: S110 - best-effort tmp cleanup before re-raise
-                    pass
-                raise
+            _fs.replace_file(path, blob, durable=True)
+            if fresh_dir:  # the new fan-out directory's entry must be durable too
+                _fs.fs_fsync_dir(self.root)
         except OSError:
             self.io_errors += 1
             return False

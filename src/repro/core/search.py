@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
@@ -73,6 +72,8 @@ def top_k_recall(
 
 def rank_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Spearman rank correlation between predictions and ground truth."""
+    from scipy.stats import rankdata  # deferred: scipy.stats costs ~1 s to import
+
     predicted = np.asarray(predicted, dtype=np.float64).ravel()
     actual = np.asarray(actual, dtype=np.float64).ravel()
     if predicted.shape != actual.shape or predicted.size < 2:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from repro.errors import NumericalError
 from repro.obs.metrics import default_registry as _metrics
@@ -213,7 +213,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
             t_values = np.where(se > 0, beta_full[1:] / se, np.nan)
         finite = np.isfinite(t_values)
         p_values = np.ones(p)
-        p_values[finite] = 2.0 * sps.t.sf(np.abs(t_values[finite]), df_resid)
+        p_values[finite] = 2.0 * special.stdtr(df_resid, -np.abs(t_values[finite]))
     elif sigma2 == 0.0 and df_resid > 0:
         # Perfect fit: every retained coefficient is maximally significant.
         p_values = np.zeros(p)
@@ -253,4 +253,4 @@ def partial_f_pvalue(fit_reduced: OlsFit, fit_full: OlsFit, df_added: int = 1) -
     if improvement <= 0.0:
         return 1.0
     f_stat = (improvement / df_added) / (fit_full.sse / fit_full.df_resid)
-    return float(sps.f.sf(f_stat, df_added, fit_full.df_resid))
+    return float(special.fdtrc(df_added, fit_full.df_resid, f_stat))

@@ -1,13 +1,19 @@
-"""Seeded disk-fault injection: one shim in front of every durability write.
+"""Seeded disk-fault injection and the one durable-file seam behind it.
 
 The spool log, the disk cache tier, the checkpoint journal, and the
 compaction swap all promise crash consistency — promises that are only as
-good as their behaviour when the filesystem misbehaves. This module is the
-single choke point those layers write through (``fs_open``, ``fs_write``,
-``fs_fsync``, ``fs_replace``, ``fs_fsync_dir``, ``fs_file_write``): plain
-one-line passthroughs to :mod:`os` until a :class:`DiskFaultInjector` is
-installed, at which point every call may be made to fail the way real disks
-fail:
+good as their behaviour when the filesystem misbehaves. Every durable file
+write and strict log read in the package goes through three functions
+here: :func:`append_line` (one fsync'd JSONL record, torn tail repaired
+first), :func:`replace_file` (atomic tmp-file swap, fsync'd with
+``durable=True``) and :func:`read_log` (torn final line tolerated,
+interior bad lines listed).
+
+They, and compaction's crash-pointed snapshot swap, do their I/O through
+the shim — ``fs_open``, ``fs_write``, ``fs_fsync``, ``fs_replace``,
+``fs_fsync_dir`` — plain passthroughs to :mod:`os` until a
+:class:`DiskFaultInjector` is installed, at which point every call may be
+made to fail the way real disks fail:
 
 * **ENOSPC / EIO on write** — the classic full-disk and dying-disk errors;
   callers must surface them typed, not wedge.
@@ -39,9 +45,12 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
+import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,9 +58,10 @@ from repro.util.rng import stream_seed
 
 __all__ = [
     "DiskFaultInjector",
+    "LogRead",
     "SimulatedCrash",
     "active",
-    "fs_file_write",
+    "append_line",
     "fs_fsync",
     "fs_fsync_dir",
     "fs_open",
@@ -59,6 +69,8 @@ __all__ = [
     "fs_write",
     "injected",
     "install",
+    "read_log",
+    "replace_file",
     "uninstall",
 ]
 
@@ -240,36 +252,114 @@ def fs_fsync_dir(path: Any) -> None:
         os.close(fd)
 
 
-def fs_file_write(fh: Any, data: Any) -> None:
-    """Buffered-file write through the same write-fault plan.
+# -- the seam: every durable write and strict log read goes through these ----
 
-    For callers that write via a Python file object (the checkpoint
-    journal) rather than a raw fd. A short write is simulated by writing
-    the prefix and raising EIO — a buffered writer cannot meaningfully
-    resume a partial ``write`` the way the fd loop does.
+
+def _drain(fd: int, data: bytes, write: Callable[[int, Any], int]) -> None:
+    # A short write (ENOSPC, signal) must be resumed, not ignored: a
+    # truncated record with later appends after it is mid-log corruption.
+    view = memoryview(data)
+    while view:
+        view = view[write(fd, view):]
+
+
+def _repair_torn_tail(fd: int) -> bool:
+    # A crash mid-append leaves a fragment no caller was ever told is
+    # durable, so cutting back to the last newline loses nothing — and it
+    # must happen before the next write, or fragment and record would merge
+    # into one unparseable mid-log line.
+    # Reading the whole file is fine: this runs only after a crash.
+    size = os.fstat(fd).st_size
+    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
+        return False
+    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+    return True
+
+
+def append_line(path: str | os.PathLike[str], line: str) -> bool:
+    """Durably append one newline-terminated ``line``; True if a torn tail was cut.
+
+    ``O_APPEND`` open, torn-tail repair, write-until-drained, fsync. The
+    caller serializes writers and creates the directory; an ``OSError``
+    means the append failed.
     """
-    if _active is None:
-        fh.write(data)
-        return
-    inj = _active
-    i = inj._next_index("write")
-    u = inj._roll("write", i)
-    if i in inj.torn_crash_at:
-        inj._fire("torn_crash")
-        fh.write(data[: max(1, len(data) // 2)])
-        fh.flush()
-        raise SimulatedCrash(f"torn write at write call {i}")
-    if i in inj.enospc_at or u < inj.p_enospc:
-        inj._fire("enospc")
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    if i in inj.eio_write_at or u < inj.p_enospc + inj.p_eio_write:
-        inj._fire("eio_write")
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
-    if (i in inj.short_write_at
-            or u < inj.p_enospc + inj.p_eio_write + inj.p_short_write) \
-            and len(data) > 1:
-        inj._fire("short_write")
-        fh.write(data[: max(1, len(data) // 2)])
-        fh.flush()
-        raise OSError(errno.EIO, "injected short buffered write")
-    fh.write(data)
+    fd = fs_open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        repaired = _repair_torn_tail(fd)
+        _drain(fd, line.encode("utf-8"), fs_write)
+        fs_fsync(fd)
+    finally:
+        os.close(fd)
+    return repaired
+
+
+_tmp_seq = itertools.count()
+
+
+def replace_file(path: str | os.PathLike[str], data: bytes, *,
+                 durable: bool) -> None:
+    """Atomically replace ``path`` with ``data`` via a sibling tmp file.
+
+    The tmp name is unique per process and call, so concurrent writers of
+    one path never share it; it is removed on failure. ``durable`` fsyncs
+    the file before the rename and the directory after it. Telemetry
+    passes ``durable=False``: its bytes bypass the fault plan (only the
+    rename is shimmed), so a heartbeat never shifts the write indices a
+    deterministic fault names.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_seq)}.tmp")
+    fd = fs_open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        try:
+            _drain(fd, data, fs_write if durable else os.write)
+            if durable:
+                fs_fsync(fd)
+        finally:
+            os.close(fd)
+        fs_replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    if durable:
+        fs_fsync_dir(path.parent)
+
+
+class LogRead(NamedTuple):
+    events: list[tuple[int, dict[str, Any]]]  # (0-based line index, object)
+    n_lines: int
+    torn_tail: bool       # the final line is not a JSON object
+    bad_lines: list[int]  # 1-based interior lines that are not JSON objects
+
+
+def read_log(path: str | os.PathLike[str]) -> LogRead:
+    """Parse a JSONL log written by :func:`append_line` (missing: empty).
+
+    A final line that is not a JSON object is a crashed append's torn tail
+    and only reported; interior ones are history lost mid-log, listed for
+    the caller to raise (a fold) or report (an fsck).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return LogRead([], 0, False, [])
+    events: list[tuple[int, dict[str, Any]]] = []
+    bad: list[int] = []
+    torn = False
+    for lineno, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            ev = json.loads(line)
+        except ValueError:
+            ev = None
+        if not isinstance(ev, dict):
+            if lineno == len(lines) - 1:
+                torn = True
+            else:
+                bad.append(lineno + 1)
+            continue
+        events.append((lineno, ev))
+    return LogRead(events, len(lines), torn, bad)

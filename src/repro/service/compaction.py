@@ -14,9 +14,12 @@ so the chaos drills can fault each one)::
     1. fold snapshot + log  ->  new state, generation G = old G + 1
     2. write .spoolsnap.tmp, fsync
     3. rename -> spoolsnap.json, fsync dir          (atomic: snapshot live)
-    4. write .spool.jsonl.tmp = one 'compact' marker line {gen: G}, fsync
+    4. write a tmp file = one 'compact' marker line {gen: G}, fsync
     5. rename -> spool.jsonl, fsync dir             (atomic: tail reset)
     6. GC checkpoint journals / result files no retained job can ever use
+
+Steps 4-5 are one ``diskchaos.replace_file``; 2 and 3 stay apart for the
+``pre-snapshot-rename`` crash point.
 
 **Crash matrix.** The reader (:meth:`JobSpool._events`) reconciles every
 state a crash can leave (DESIGN §15):
@@ -144,18 +147,6 @@ def _crash_hook(crash_at: str | None, point: str) -> None:
         raise _fs.SimulatedCrash(f"injected compaction crash at {point}")
 
 
-def _write_file_durable(path: Path, payload: bytes) -> None:
-    """Write a whole small file through the shim: open, drain, fsync."""
-    fd = _fs.fs_open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        view = memoryview(payload)
-        while view:
-            view = view[_fs.fs_write(fd, view):]
-        _fs.fs_fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             crash_at: str | None = None) -> CompactionStats:
     """Fold the spool into a new snapshot generation and reset the log.
@@ -175,7 +166,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
         prev_gen = int(snap.get("generation", 0)) if snap else 0
         prev_folded = int(snap.get("n_events_folded", 0)) if snap else 0
         gen = prev_gen + 1
-        parsed, _n_lines = spool._parse_log()
+        parsed = spool._parse_log()
         base, tail = spool._reconcile(snap, parsed)
         raw = fold_events(tail, base)
         try:
@@ -205,9 +196,11 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             "n_events_folded": prev_folded + len(tail),
             "jobs": [_snapshot_record(j, raw[j]) for j in retained],
         }
+        # Steps 2-3. The snapshot is one JSON line, so append_line onto a
+        # fresh file is its durable tmp write.
         snap_tmp = spool.root / ".spoolsnap.tmp"
-        _write_file_durable(
-            snap_tmp, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+        snap_tmp.unlink(missing_ok=True)
+        _fs.append_line(snap_tmp, json.dumps(doc, sort_keys=True) + "\n")
         _crash_hook(crash_at, "pre-snapshot-rename")
         _fs.fs_replace(snap_tmp, spool.snapshot_path)
         _fs.fs_fsync_dir(spool.root)
@@ -215,10 +208,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
 
         marker = json.dumps({"ev": COMPACT_EV, "gen": gen, "t": time.time()},
                             sort_keys=True) + "\n"
-        log_tmp = spool.root / ".spool.jsonl.tmp"
-        _write_file_durable(log_tmp, marker.encode("utf-8"))
-        _fs.fs_replace(log_tmp, spool.log_path)
-        _fs.fs_fsync_dir(spool.root)
+        _fs.replace_file(spool.log_path, marker.encode("utf-8"), durable=True)
         _crash_hook(crash_at, "post-log-swap")
 
         n_gc_ckpt, n_gc_res = _gc(spool, raw, set(retained), policy)
@@ -385,42 +375,22 @@ def verify_spool(root: str | os.PathLike[str],
     generation = int(snap.get("generation", 0)) if snap else 0
 
     # log --------------------------------------------------------------------
-    log_path = root / "spool.jsonl"
     parsed: list[tuple[int, dict[str, Any]]] = []
-    bad_lines: list[int] = []
-    torn_tail = False
-    lines: list[str] = []
-    if log_path.exists():
-        try:
-            lines = log_path.read_text().splitlines()
-        except OSError as exc:
-            add("log", False, f"unreadable spool log: {exc}")
-            lines = []
-            bad_lines = [-1]
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise ValueError("not a JSON object")
-            except ValueError:
-                if lineno == len(lines) - 1:
-                    torn_tail = True
-                else:
-                    bad_lines.append(lineno + 1)
-                continue
-            parsed.append((lineno, ev))
-    if bad_lines:
-        if bad_lines != [-1]:
-            add("log", False,
-                f"{len(bad_lines)} corrupt interior line(s) at "
-                f"{bad_lines[:8]} of {len(lines)} — event history lost")
+    try:
+        log = _fs.read_log(root / "spool.jsonl")
+    except OSError as exc:
+        add("log", False, f"unreadable spool log: {exc}")
     else:
-        add("log", True,
-            f"{len(parsed)} event(s) in {len(lines)} line(s)"
-            + (", torn tail (crash artifact; repaired on next append)"
-               if torn_tail else ""))
+        parsed = log.events
+        if log.bad_lines:
+            add("log", False,
+                f"{len(log.bad_lines)} corrupt interior line(s) at "
+                f"{log.bad_lines[:8]} of {log.n_lines} — event history lost")
+        else:
+            add("log", True,
+                f"{len(parsed)} event(s) in {log.n_lines} line(s)"
+                + (", torn tail (crash artifact; repaired on next append)"
+                   if log.torn_tail else ""))
 
     # marker/generation consistency ------------------------------------------
     marker_gen: int | None = None

@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.resilient import FaultInjector
+from repro.robust import diskchaos as _fs
 from repro.robust.chaos import sigkill_process
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import WorkerConfig, worker_main
@@ -351,22 +352,22 @@ class WorkerSupervisor:
     def write_status(self) -> None:
         """Atomically refresh the status file (no-op without one configured).
 
-        Written tmp + ``os.replace`` so a reader never sees a torn JSON
-        document; write failures are counted, never allowed to take the
-        serve loop down.
+        Written with :func:`repro.robust.diskchaos.replace_file` so a
+        reader never sees a torn JSON document; write failures are counted,
+        never allowed to take the serve loop down.
         """
         if not self.config.status_file:
             return
         import json
-        import os
 
         path = Path(self.config.status_file)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".{path.name}.tmp"
-            tmp.write_text(json.dumps(self.status_snapshot(), indent=2,
-                                      sort_keys=True, default=str) + "\n")
-            os.replace(tmp, path)
+            _fs.replace_file(
+                path,
+                (json.dumps(self.status_snapshot(), indent=2, sort_keys=True,
+                            default=str) + "\n").encode(),
+                durable=False)
         except OSError:
             _metrics().counter("service.status.write_failures").inc()
 

@@ -69,6 +69,7 @@ from repro.parallel.resilient import (
     ResilientExecutor,
     RetryPolicy,
 )
+from repro.robust import diskchaos as _fs
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
@@ -472,10 +473,11 @@ class Worker:
         out_dir = self.spool.root / "metrics"
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            tmp = out_dir / f".{self.config.name}.tmp"
-            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                                      default=str) + "\n")
-            os.replace(tmp, out_dir / f"{self.config.name}.json")
+            _fs.replace_file(
+                out_dir / f"{self.config.name}.json",
+                (json.dumps(doc, indent=2, sort_keys=True, default=str)
+                 + "\n").encode(),
+                durable=False)
         except OSError:
             _metrics().counter("service.metrics.export_failures").inc()
 

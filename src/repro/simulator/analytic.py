@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as spsp
-from scipy import stats as sps
 
 from repro.simulator.workloads import BLOCK, PAGE, BranchBehavior, MemoryBehavior
 
@@ -60,7 +59,7 @@ def _quantile_grid(n: int) -> np.ndarray:
 def _component_distances(median: float, sigma: float, n: int = _N_QUANTILES) -> np.ndarray:
     """Representative reuse distances (quantile midpoints) of a component."""
     q = _quantile_grid(n)
-    return median * np.exp(sigma * sps.norm.ppf(q))
+    return median * np.exp(sigma * spsp.ndtri(q))
 
 
 def component_survival(median: float, sigma: float, capacity_blocks: float) -> float:
@@ -68,7 +67,7 @@ def component_survival(median: float, sigma: float, capacity_blocks: float) -> f
     if capacity_blocks <= 0:
         return 1.0
     z = (np.log(capacity_blocks) - np.log(median)) / sigma
-    return float(sps.norm.sf(z))
+    return float(spsp.ndtr(-z))
 
 
 def set_associative_hit_given_distance(

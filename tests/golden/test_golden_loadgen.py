@@ -34,6 +34,7 @@ from repro.loadgen import (
     run_requests,
     write_reqtrace,
 )
+from repro.service.jobs import job_id
 
 TRACE_PATH = Path(__file__).parent / "golden_reqtrace.jsonl"
 REPORT_PATH = Path(__file__).parent / "golden_load_report.json"
@@ -139,3 +140,18 @@ class TestGoldenLoadReplay:
         text = render_report(actual, title="golden replay")
         assert text.startswith("golden replay")
         assert "client-observed latency" in text
+
+    def test_pin_is_independent_of_simulator_source(self, actual, golden,
+                                                    trace_requests,
+                                                    monkeypatch):
+        # Job ids hash the simulator's source digest; the sim's service
+        # times must not, or any simulator edit would move this pin.
+        requests, _ = trace_requests
+        target = SimTarget(clock=VirtualClock(), seed=SIM_SEED)
+        times = [target.service_time(r.spec) for r in requests]
+        ids = [job_id(r.spec) for r in requests]
+        monkeypatch.setattr("repro.service.jobs.code_version",
+                            lambda: "0" * 64)
+        assert [job_id(r.spec) for r in requests] != ids  # patch took
+        assert [target.service_time(r.spec) for r in requests] == times
+        assert _document(_replay(requests)) == actual == golden

@@ -1,6 +1,7 @@
 """Tests for the seeded disk-fault shim and the layers wired through it."""
 
 import errno
+import json
 import os
 
 import pytest
@@ -117,14 +118,6 @@ class TestDeterministicFaults:
                 raise RuntimeError("boom")
         assert diskchaos.active() is None
 
-    def test_file_write_short_raises_after_prefix(self, tmp_path):
-        path = tmp_path / "f"
-        with open(path, "w", encoding="utf-8") as fh:
-            with diskchaos.injected(DiskFaultInjector(short_write_at=(0,))):
-                with pytest.raises(OSError):
-                    diskchaos.fs_file_write(fh, "abcdef")
-        assert path.read_text() == "abc"
-
 
 class TestDiskStoreUnderFaults:
     def test_put_failure_is_contained_and_counted(self, tmp_path):
@@ -155,6 +148,17 @@ class TestDiskStoreUnderFaults:
             assert store.put("k", "v") is False
         assert store.get("k", default="absent") == "absent"
 
+    def test_directory_fsync_fault_fails_the_put(self, tmp_path):
+        # fsync 0 is the entry's tmp file, fsync 1 the directory after the
+        # rename: until the directory is durable the entry is not either.
+        from repro.cache.disk import DiskStore
+
+        store = DiskStore(tmp_path / "cache")
+        with diskchaos.injected(DiskFaultInjector(eio_fsync_at=(1,))) as inj:
+            assert store.put("k", "v") is False
+        assert inj.fired == {"eio_fsync": 1}
+        assert store.io_errors == 1
+
 
 class TestJournalUnderFaults:
     def test_append_failure_is_typed(self, tmp_path):
@@ -175,3 +179,47 @@ class TestJournalUnderFaults:
             assert resumed.completed() == {"fp0": {"ok": 1}}
         finally:
             resumed.close()
+
+    def test_short_write_is_resumed_not_raised(self, tmp_path):
+        from repro.parallel.resilient import CheckpointJournal
+
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        try:
+            journal.record("fp0", {"ok": 1})
+            with diskchaos.injected(
+                    DiskFaultInjector(short_write_at=(0,))) as inj:
+                journal.record("fp1", {"ok": 2})
+            assert inj.fired == {"short_write": 1}
+            assert inj.calls["write"] == 2  # prefix landed, remainder resumed
+        finally:
+            journal.close()
+        resumed = CheckpointJournal(tmp_path / "j.jsonl", resume=True)
+        try:
+            assert resumed.completed() == {"fp0": {"ok": 1}, "fp1": {"ok": 2}}
+        finally:
+            resumed.close()
+
+    def test_torn_crash_then_resume_cuts_the_fragment(self, tmp_path):
+        from repro.parallel.resilient import CheckpointJournal
+
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record("fp0", {"ok": 1})
+        with diskchaos.injected(DiskFaultInjector(torn_crash_at=(0,))):
+            with pytest.raises(SimulatedCrash):
+                journal.record("fp1", {"ok": 2})
+        journal.close()
+        assert not path.read_text().endswith("\n")  # the tear landed
+        resumed = CheckpointJournal(path, resume=True)
+        try:
+            assert resumed.completed() == {"fp0": {"ok": 1}}
+            resumed.record("fp2", {"ok": 3})
+        finally:
+            resumed.close()
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["fp"] for line in lines] == ["fp0", "fp2"]
+        again = CheckpointJournal(path, resume=True)
+        try:
+            assert again.completed() == {"fp0": {"ok": 1}, "fp2": {"ok": 3}}
+        finally:
+            again.close()

@@ -236,7 +236,7 @@ class TestReconcile:
         compact(spool)
         snap = read_snapshot(spool.root)
         stale = dict(snap, generation=snap["generation"] - 1)
-        parsed, _ = spool._parse_log()
+        parsed = spool._parse_log()
         with pytest.raises(_SnapshotRaced):
             JobSpool._reconcile(stale, parsed)
 

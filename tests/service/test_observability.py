@@ -12,6 +12,7 @@ from repro.obs.aggregate import merge_timeline, read_shard_metrics
 from repro.obs.metrics import default_registry, reset_default_registry
 from repro.obs.trace import validate_record
 from repro.parallel import FaultInjector
+from repro.robust import DiskFaultInjector, diskchaos
 from repro.service import (
     JobSpec,
     JobSpool,
@@ -165,6 +166,19 @@ class TestHeartbeatTelemetry:
         doc = json.loads((spool.root / "metrics" / "w0.json").read_text())
         assert doc["final"] is True
 
+    def test_export_rename_fault_is_counted_and_keeps_previous(self, tmp_path):
+        spool = JobSpool.ensure(tmp_path / "s")
+        w = Worker(WorkerConfig(root=str(spool.root), name="w0"), spool=spool)
+        w._export_metrics()
+        path = spool.root / "metrics" / "w0.json"
+        before = path.read_bytes()
+        with diskchaos.injected(DiskFaultInjector(rename_at=(0,))):
+            w._export_metrics(final=True)  # must not raise
+        assert default_registry().counter(
+            "service.metrics.export_failures").value == 1
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob(".*.tmp"))
+
 
 class TestMetricsSalvage:
     def test_dead_workers_snapshot_renamed_per_generation(self, tmp_path):
@@ -230,6 +244,19 @@ class TestStatusFile:
         doc = json.loads(target.read_text())
         assert doc["schema"] == STATUS_SCHEMA
         assert not list(target.parent.glob(".*.tmp"))  # replaced atomically
+
+    def test_status_rename_fault_is_counted_and_keeps_previous(self, tmp_path):
+        target = tmp_path / "status.json"
+        sup = WorkerSupervisor(ServiceConfig(
+            root=str(tmp_path / "s"), workers=1, status_file=str(target)))
+        sup.write_status()
+        before = target.read_bytes()
+        with diskchaos.injected(DiskFaultInjector(rename_at=(0,))):
+            sup.write_status()  # must not raise
+        assert default_registry().counter(
+            "service.status.write_failures").value == 1
+        assert target.read_bytes() == before
+        assert not list(tmp_path.glob(".*.tmp"))
 
     def test_obs_flag_reaches_worker_configs(self, tmp_path):
         sup = WorkerSupervisor(ServiceConfig(root=str(tmp_path / "s"),

@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is about half of a cold `import repro.cli`, which every
+        # CLI call and every spawned service shard pays.
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestParser:
